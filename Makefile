@@ -1,4 +1,4 @@
-.PHONY: check check-assign check-coalesce check-dist check-hash check-incr check-obs check-shard test bench bench-diff bench-json bcbench profile-extract profile-ingest vet
+.PHONY: check check-assign check-coalesce check-dist check-hash check-incr check-obs check-perfbench check-shard test bench bench-diff bench-json bcbench profile-extract profile-ingest vet
 
 # Revision stamp for benchmark binaries: BENCH_*.json meta blocks must
 # identify the commit that produced them, and ReadBuildInfo's vcs.*
@@ -51,13 +51,15 @@ check-dist:
 # differential (spliced) decode to the cold full peel bit-for-bit —
 # single-sketch success/FAIL transitions, the arena-aliasing guard, the
 # CacheBytes base accounting, fine-grained merge invalidation and the
-# alternating ingest/extract ensemble equivalence — under -race, then
-# replay the FuzzIncrementalDecodeMatchesCold seed corpus. Runs in a
-# couple of minutes; CI runs it before the full suite so differential-
-# decode regressions fail fast.
+# alternating ingest/extract ensemble equivalence, and the guess-parallel
+# selection scan's bit-identity with ResultSerial (selected guess,
+# coreset, error text) at 2/4/8 workers — under -race, then replay the
+# FuzzIncrementalDecodeMatchesCold seed corpus. Runs in a couple of
+# minutes; CI runs it before the full suite so differential-decode and
+# selection-scan regressions fail fast.
 check-incr:
 	go vet ./internal/sketch ./internal/stream
-	go test -race -run 'Incremental|Spliced|MergeFineGrained|CacheBytesIncludesBase|StoringCacheStats|StoringMergeDrop' ./internal/sketch ./internal/stream
+	go test -race -run 'Incremental|Spliced|MergeFineGrained|CacheBytesIncludesBase|StoringCacheStats|StoringMergeDrop|ExtractParallelMatchesSerial' ./internal/sketch ./internal/stream
 	go test -race -run 'FuzzIncrementalDecodeMatchesCold' ./internal/sketch
 
 # Fast telemetry pass: vet the obs package and the bench/diff CLI, run
@@ -96,6 +98,19 @@ check-shard:
 	go vet ./internal/stream ./internal/sketch
 	go test -race -run 'Sharded|ShardMerge|StoringCacheStats|StoringMergeDrop|StoringReset' ./internal/stream ./internal/sketch
 	go test -race -run FuzzShardMerge ./internal/stream
+
+# Serving-loop benchmark smoke pass: vet and test the perfbench module
+# (its own go.mod, so the root go test ./... does not reach it), then run
+# every workload briefly. perfbench exits non-zero on any CHECK FAILED —
+# a state digest that disagrees with a fresh ensemble, a coreset that
+# breaks the 30% weight rule, or a solve without k finite-cost centers.
+# serve-churn solves on every 8th query of an instance, so it runs 7
+# nominal seconds (9 rounds per instance) to reach one solve each.
+check-perfbench:
+	cd perfbench && go vet . && go test .
+	bash perfbench/run.sh --workload firehose --seed 1 --seconds 1 --trace 0
+	bash perfbench/run.sh --workload query-hot --seed 1 --seconds 1 --trace 0
+	bash perfbench/run.sh --workload serve-churn --seed 1 --seconds 7 --trace 0
 
 test:
 	go build ./... && go test ./...

@@ -17,8 +17,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -28,22 +30,42 @@ import (
 )
 
 func main() {
-	k := flag.Int("k", 4, "number of clusters")
-	dim := flag.Int("d", 2, "dimension")
-	delta := flag.Int64("delta", 1<<12, "coordinate range [1,delta]")
-	r := flag.Float64("r", 2, "lr exponent (1 = k-median, 2 = k-means)")
-	guess := flag.Float64("guess", 0, "fixed guess o of the optimal cost (0 = enumerate all guesses)")
-	seed := flag.Int64("seed", 1, "random seed")
-	in := flag.String("in", "-", "input stream file (- = stdin)")
-	debugAddr := flag.String("debug-addr", "", "serve /metrics, /debug/pprof/ and /debug/vars on this address (e.g. :6060) while running")
-	metricsDump := flag.String("metrics", "", "dump a final telemetry snapshot to stderr: text (Prometheus exposition) or json")
-	hold := flag.Duration("hold", 0, "with -debug-addr, keep the debug server up this long after the run (0 = exit immediately)")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr))
+}
+
+// run is the whole command: it parses args, reads the stream from stdin
+// (or -in), writes the coreset to stdout and the summary, errors and
+// any -metrics snapshot to stderr, and returns the exit status. The
+// snapshot is written even when Result fails, so a FAILed run still
+// shows which guesses were attempted and why they lost.
+func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("bcstream", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	k := fs.Int("k", 4, "number of clusters")
+	dim := fs.Int("d", 2, "dimension")
+	delta := fs.Int64("delta", 1<<12, "coordinate range [1,delta]")
+	r := fs.Float64("r", 2, "lr exponent (1 = k-median, 2 = k-means)")
+	guess := fs.Float64("guess", 0, "fixed guess o of the optimal cost (0 = enumerate all guesses)")
+	seed := fs.Int64("seed", 1, "random seed")
+	in := fs.String("in", "-", "input stream file (- = stdin)")
+	debugAddr := fs.String("debug-addr", "", "serve /metrics, /debug/pprof/ and /debug/vars on this address (e.g. :6060) while running")
+	metricsDump := fs.String("metrics", "", "dump a final telemetry snapshot to stderr: text (Prometheus exposition) or json")
+	hold := fs.Duration("hold", 0, "with -debug-addr, keep the debug server up this long after the run (0 = exit immediately)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "bcstream:", err)
+		return 1
+	}
 
 	switch *metricsDump {
 	case "", "text", "json":
 	default:
-		fatal(fmt.Errorf("-metrics must be text or json, got %q", *metricsDump))
+		return fail(fmt.Errorf("-metrics must be text or json, got %q", *metricsDump))
 	}
 	if *metricsDump != "" {
 		obs.Enable()
@@ -52,18 +74,16 @@ func main() {
 	if *debugAddr != "" {
 		addr, err := obs.ServeDebug(*debugAddr)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
-		fmt.Fprintf(os.Stderr, "bcstream: debug server on http://%s (/metrics, /debug/pprof/, /debug/vars, /debug/spans)\n", addr)
+		fmt.Fprintf(stderr, "bcstream: debug server on http://%s (/metrics, /debug/pprof/, /debug/vars, /debug/spans)\n", addr)
 	}
 
-	var src *os.File
-	if *in == "-" {
-		src = os.Stdin
-	} else {
+	src := stdin
+	if *in != "-" {
 		f, err := os.Open(*in)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		defer f.Close()
 		src = f
@@ -89,7 +109,7 @@ func main() {
 		s, err = streambalance.NewAutoStream(cfg, 8)
 	}
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 
 	var updates int64
@@ -103,37 +123,35 @@ func main() {
 		return nil
 	})
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 
-	cs, err := s.Result()
-	if err != nil {
-		fatal(err)
+	status := 0
+	if cs, err := s.Result(); err != nil {
+		fmt.Fprintln(stderr, "bcstream:", err)
+		status = 1
+	} else {
+		if err := streamfmt.WriteWeighted(stdout, cs.Points); err != nil {
+			return fail(err)
+		}
+		fmt.Fprintf(stderr,
+			"bcstream: %d updates, coreset %d points (total weight %.1f), sketch state %d bytes, accepted o=%.3g\n",
+			updates, cs.Size(), cs.TotalWeight(), s.Bytes(), cs.O)
 	}
-	if err := streamfmt.WriteWeighted(os.Stdout, cs.Points); err != nil {
-		fatal(err)
-	}
-	fmt.Fprintf(os.Stderr,
-		"bcstream: %d updates, coreset %d points (total weight %.1f), sketch state %d bytes, accepted o=%.3g\n",
-		updates, cs.Size(), cs.TotalWeight(), s.Bytes(), cs.O)
 
+	var dumpErr error
 	switch *metricsDump {
 	case "text":
-		if err := obs.Default.WriteProm(os.Stderr); err != nil {
-			fatal(err)
-		}
+		dumpErr = obs.Default.WriteProm(stderr)
 	case "json":
-		if err := obs.Default.WriteJSON(os.Stderr); err != nil {
-			fatal(err)
-		}
+		dumpErr = obs.Default.WriteJSON(stderr)
+	}
+	if dumpErr != nil {
+		return fail(dumpErr)
 	}
 	if *debugAddr != "" && *hold > 0 {
-		fmt.Fprintf(os.Stderr, "bcstream: holding debug server for %s\n", *hold)
+		fmt.Fprintf(stderr, "bcstream: holding debug server for %s\n", *hold)
 		time.Sleep(*hold)
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "bcstream:", err)
-	os.Exit(1)
+	return status
 }

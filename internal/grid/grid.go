@@ -123,6 +123,25 @@ func ParentIndex(idx []int64) []int64 {
 	return out
 }
 
+// StackDim is the largest dimension whose index vectors the
+// allocation-free key paths (ParentKey, partition.PartOf) keep in a
+// stack buffer; wider grids fall back to one heap buffer per call.
+const StackDim = 8
+
+// ParentKey returns the key of the level-(i−1) parent of the level-i
+// cell idx — KeyOf(level−1, ParentIndex(idx)) without allocating.
+func (g *Grid) ParentKey(level int, idx []int64) uint64 {
+	var buf [StackDim]int64
+	par := buf[:0]
+	if len(idx) > StackDim {
+		par = make([]int64, 0, len(idx))
+	}
+	for _, v := range idx {
+		par = append(par, v>>1)
+	}
+	return g.KeyOf(level-1, par)
+}
+
 // ParentKeys fills keys[i] for i = level..0 with the cell key of the
 // level-i ancestor of the cell idx, deriving each coarser index from the
 // finer one by a one-bit shift (the ParentIndex relation) instead of

@@ -76,6 +76,24 @@ func TestNestingParentIndex(t *testing.T) {
 	}
 }
 
+// TestParentKeyMatchesCellKey: ParentKey of a point's level-i index is
+// the key of its level-(i−1) cell, with the index in the stack buffer
+// and in the heap fallback (Dim > StackDim).
+func TestParentKeyMatchesCellKey(t *testing.T) {
+	for _, dim := range []int{2, StackDim + 1} {
+		rng := rand.New(rand.NewSource(int64(dim)))
+		g := New(256, dim, rng)
+		for i := 0; i < 200; i++ {
+			p := randPoint(rng, dim, 256)
+			for level := 0; level <= g.L; level++ {
+				if got, want := g.ParentKey(level, g.CellIndex(p, level)), g.CellKey(p, level-1); got != want {
+					t.Fatalf("d=%d level %d: ParentKey %x, CellKey %x", dim, level, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestSameCellConsistentWithIndex(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	g := New(256, 3, rng)

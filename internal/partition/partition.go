@@ -14,7 +14,7 @@ package partition
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"streambalance/internal/geo"
 	"streambalance/internal/grid"
@@ -161,7 +161,7 @@ func BuildLazy(g *grid.Grid, r, o float64, counts, partCounts CountSource) (*Par
 			if ct.Tau < th {
 				continue
 			}
-			if level == -1 || p.heavy[level][g.KeyOf(level-1, grid.ParentIndex(ct.Index))] {
+			if level == -1 || p.heavy[level][g.ParentKey(level, ct.Index)] {
 				p.heavy[level+1][key] = true
 			}
 		}
@@ -172,6 +172,7 @@ func BuildLazy(g *grid.Grid, r, o float64, counts, partCounts CountSource) (*Par
 	// summing in map-iteration order would make the last-ulp value — and
 	// hence any borderline inclusion or FAIL threshold downstream — vary
 	// between otherwise identical runs.
+	var keys []uint64 // sort buffer, reused across levels
 	for level := 0; level <= L; level++ {
 		if len(p.heavy[level]) == 0 {
 			continue // no heavy parent level ⇒ no crucial cells here
@@ -180,15 +181,14 @@ func BuildLazy(g *grid.Grid, r, o float64, counts, partCounts CountSource) (*Par
 		if !ok {
 			return nil, ErrCounts{Level: level}
 		}
-		keys := make([]uint64, 0, len(cts))
+		keys = keys[:0]
 		for key := range cts {
 			keys = append(keys, key)
 		}
-		sort.Slice(keys, func(a, b int) bool { return keys[a] < keys[b] })
+		slices.Sort(keys)
 		for _, key := range keys {
 			ct := cts[key]
-			parentIdx := grid.ParentIndex(ct.Index)
-			parentKey := g.KeyOf(level-1, parentIdx)
+			parentKey := g.ParentKey(level, ct.Index)
 			if !p.heavy[level][parentKey] {
 				continue // some ancestor is not heavy
 			}
@@ -235,14 +235,24 @@ func (p *Partition) IsHeavy(level int, key uint64) bool {
 // large).
 func (p *Partition) PartOf(q geo.Point) (PartID, bool) {
 	g := p.Grid
-	if !p.heavy[0][g.CellKey(q, -1)] {
+	// Each level's index goes into one stack buffer and each level's key
+	// is carried down as the next level's parent, so the walk allocates
+	// nothing.
+	var buf [grid.StackDim]int64
+	idx := buf[:0]
+	if g.Dim > grid.StackDim {
+		idx = make([]int64, 0, g.Dim)
+	}
+	parent := g.KeyOf(-1, g.CellIndexInto(idx, q, -1))
+	if !p.heavy[0][parent] {
 		return PartID{}, false
 	}
 	for level := 0; level <= g.L; level++ {
-		key := g.CellKey(q, level)
+		key := g.KeyOf(level, g.CellIndexInto(idx, q, level))
 		if level == g.L || !p.heavy[level+1][key] {
-			return PartID{Level: level, Parent: g.CellKey(q, level-1)}, true
+			return PartID{Level: level, Parent: parent}, true
 		}
+		parent = key
 	}
 	return PartID{}, false // unreachable
 }

@@ -244,3 +244,90 @@ func TestTrivialUpperBoundO(t *testing.T) {
 		t.Fatalf("TrivialUpperBoundO = %v", got)
 	}
 }
+
+// partOfRef is the per-level CellKey walk PartOf replaced — the oracle
+// for its allocation-free form.
+func partOfRef(p *Partition, q geo.Point) (PartID, bool) {
+	g := p.Grid
+	if !p.heavy[0][g.CellKey(q, -1)] {
+		return PartID{}, false
+	}
+	for level := 0; level <= g.L; level++ {
+		if level == g.L || !p.heavy[level+1][g.CellKey(q, level)] {
+			return PartID{Level: level, Parent: g.CellKey(q, level-1)}, true
+		}
+	}
+	return PartID{}, false
+}
+
+// TestPartOfMatchesReference: PartOf agrees with the CellKey walk on
+// covered and uncovered points, both with the index vector in its stack
+// buffer (d = 2) and in the heap fallback (d > grid.StackDim).
+func TestPartOfMatchesReference(t *testing.T) {
+	for _, dim := range []int{2, grid.StackDim + 1} {
+		rng := rand.New(rand.NewSource(int64(10 + dim)))
+		g := setup(t, 64, dim, int64(dim))
+		ps := make(geo.PointSet, 300)
+		for i := range ps {
+			ps[i] = make(geo.Point, dim)
+			for j := range ps[i] {
+				ps[i][j] = 1 + rng.Int63n(8)
+				if i%7 == 0 {
+					ps[i][j] = 1 + rng.Int63n(64)
+				}
+			}
+		}
+		for _, o := range []float64{10, 1e4, 1e12} {
+			p := Build(Input{Grid: g, R: 2, O: o, Counts: ExactCounts(g, ps)})
+			for _, q := range ps {
+				id, ok := p.PartOf(q)
+				wantID, wantOK := partOfRef(p, q)
+				if id != wantID || ok != wantOK {
+					t.Fatalf("d=%d o=%g point %v: PartOf %+v/%v, reference %+v/%v", dim, o, q, id, ok, wantID, wantOK)
+				}
+			}
+		}
+	}
+}
+
+// TestPartOfNoAlloc pins PartOf — run once per recovered ĥ point on
+// every extraction — at zero allocations.
+func TestPartOfNoAlloc(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	g := setup(t, 256, 2, 3)
+	ps := clusteredPoints(rng, 600, 256)
+	p := Build(Input{Grid: g, R: 2, O: optUpper(ps, 2) / 4, Counts: ExactCounts(g, ps)})
+	if allocs := testing.AllocsPerRun(20, func() {
+		for _, q := range ps {
+			if _, ok := p.PartOf(q); !ok {
+				t.Fatal("uncovered point")
+			}
+		}
+	}); allocs != 0 {
+		t.Fatalf("PartOf allocates: %v allocs per %d calls", allocs, len(ps))
+	}
+}
+
+// TestParentKeyDerivationNoAlloc pins BuildLazy's per-cell parent-key
+// derivation over a prebuilt count map at zero allocations.
+func TestParentKeyDerivationNoAlloc(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	g := setup(t, 256, 2, 4)
+	counts := ExactCounts(g, clusteredPoints(rng, 600, 256))
+	level := 5
+	cts := counts[level+1]
+	var sink uint64
+	if allocs := testing.AllocsPerRun(20, func() {
+		for _, ct := range cts {
+			sink ^= g.ParentKey(level, ct.Index)
+		}
+	}); allocs != 0 {
+		t.Fatalf("parent-key derivation allocates: %v allocs per %d cells", allocs, len(cts))
+	}
+	for key, ct := range cts {
+		if g.ParentKey(level, ct.Index) != g.KeyOf(level-1, grid.ParentIndex(ct.Index)) {
+			t.Fatalf("cell %x: ParentKey differs from KeyOf∘ParentIndex", key)
+		}
+	}
+	_ = sink
+}

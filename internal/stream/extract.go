@@ -6,15 +6,24 @@
 // assembly: every (guess × level × substream) Storing sketch peels on its
 // own state only, mirroring the sparse-recovery query structure of
 // Braverman et al. (arXiv:1706.03887), which is embarrassingly parallel.
-// The pipeline here exploits that twice:
+// The pipeline exploits that in three ways:
 //
-//   - Parallel decode: before the serial assembly runs, the sketches it
-//     will consult are decoded across a GOMAXPROCS-sized worker pool
-//     (the shard-pool shape of ingest.go). Decoding only warms each
-//     sketch's epoch-tagged cache — the assembly then executes the exact
-//     serial logic against free cache hits, so results are bit-identical
-//     to the serial path by construction. With one worker the pool is
-//     skipped entirely and the original lazy path runs unchanged.
+//   - Guess-parallel lazy scan (Auto.Result): the scan's candidate
+//     guesses are extracted concurrently, one guess per worker, each by
+//     the lazy serial path that stops at the guess's first failing
+//     level, while the estimate guess runs on the caller with its ĥ
+//     stage decoded across the pool. The selection rule reads the
+//     outcomes in its serial order and stops claiming once a guess is
+//     selected, so results are bit-identical to ResultSerial and at most
+//     workers−1 extractions per query are wasted. No guess is decoded
+//     speculatively beyond that window.
+//
+//   - Single-instance parallel decode (Stream.Result): before the serial
+//     assembly runs, the sketches it will consult are decoded across a
+//     GOMAXPROCS-sized worker pool (the shard-pool shape of ingest.go).
+//     Decoding only warms each sketch's epoch-tagged cache — the assembly
+//     then executes the exact serial logic against free cache hits, so
+//     results are bit-identical to the serial path by construction.
 //
 //   - Epoch cache + differential decode: each Storing tags its decode
 //     with an update epoch (sketch.Storing); a repeated Result during a
@@ -26,11 +35,6 @@
 //     skipped outright) and dirtied levels keep their base for the next
 //     splice. Cache memory is derived state, excluded from Bytes
 //     (DESIGN.md §6) and released by DropDecodeCache.
-//
-// Auto.Result decodes candidate guesses speculatively — the estimate
-// guess first, then the ascending-scan prefix up to the cost-bound cap —
-// while the selection rule itself (smallest weight-sane surviving guess)
-// stays the serial one, applied in order after the decodes land.
 package stream
 
 import (
@@ -129,6 +133,14 @@ func (s *Stream) Result() (*coreset.Coreset, error) { return s.resultWith(extrac
 func (s *Stream) ResultSerial() (*coreset.Coreset, error) { return s.resultWith(1) }
 
 func (s *Stream) resultWith(workers int) (*coreset.Coreset, error) {
+	return s.extract(workers, workers, sketch.NewDecodeArena())
+}
+
+// extract is resultWith with the two warm stages sized separately —
+// planWorkers for the h/h′ stage, hatWorkers for the ĥ stage, 1 meaning
+// lazy — and every lazy (cache-miss) decode running out of the given
+// arena; the warm pools bring their own per-worker arenas.
+func (s *Stream) extract(planWorkers, hatWorkers int, arena *sketch.DecodeArena) (*coreset.Coreset, error) {
 	if s.n < 0 {
 		return nil, errors.New("stream: more deletions than insertions")
 	}
@@ -136,7 +148,7 @@ func (s *Stream) resultWith(workers int) (*coreset.Coreset, error) {
 	t0 := obs.NowNano()
 	sp := obs.StartSpan("stream.extract")
 	sp.AttrFloat("o", s.cfg.O)
-	sp.AttrInt("workers", int64(workers))
+	sp.AttrInt("workers", int64(max(planWorkers, hatWorkers)))
 	defer func() {
 		mExtractNS.ObserveSince(t0)
 		if obs.Enabled() {
@@ -147,16 +159,12 @@ func (s *Stream) resultWith(workers int) (*coreset.Coreset, error) {
 		}
 		sp.End()
 	}()
-	// One decode arena serves every lazy (cache-miss) decode of this
-	// extraction; the warm pools above and below bring their own
-	// per-worker arenas.
-	arena := sketch.NewDecodeArena()
 	// Stage 1: decode every cell sketch the partition stage may consult,
 	// in parallel. The serial assembly below decides lazily which levels
 	// matter; pre-decoding the rest only wastes a bounded peel per sketch
 	// (and caches its FAIL), never changes what the assembly sees.
-	if workers > 1 {
-		warmStorings(s.planTargets(nil), workers)
+	if planWorkers > 1 {
+		warmStorings(s.planTargets(nil), planWorkers)
 	}
 	part, pl, err := s.plan(arena)
 	if err != nil {
@@ -169,14 +177,14 @@ func (s *Stream) resultWith(workers int) (*coreset.Coreset, error) {
 	}
 	// Stage 2: decode only the ĥ point sketches of needed levels — these
 	// are the large sketches, and the plan has already pruned the rest.
-	if workers > 1 {
+	if hatWorkers > 1 {
 		units := make([]*sketch.Storing, 0, s.g.L+1)
 		for i := 0; i <= s.g.L; i++ {
 			if needLevel[i] && s.phi[i] != 0 {
 				units = append(units, s.hatStore[i])
 			}
 		}
-		warmStorings(units, workers)
+		warmStorings(units, hatWorkers)
 	}
 	return s.assemble(part, pl, needLevel, arena)
 }
@@ -367,10 +375,13 @@ func addCacheStats(a, b sketch.CacheStats) sketch.CacheStats {
 // within 30% of the exact point count (both far-off-OPT failure modes
 // break this: sketch FAIL below, lost mass above).
 //
-// With more than one worker the candidate guesses' cell sketches are
-// decoded speculatively across the pool before the scan; the scan itself
-// runs the serial selection rule against the warmed caches, so the
-// selected guess and its coreset are identical to ResultSerial's.
+// Every guess is extracted at most once per call. With more than one
+// worker the scan's guesses are extracted concurrently by the lazy path
+// of Stream.ResultSerial (see guessScan), starting while the estimate
+// guess runs, and the estimate guess decodes its ĥ stage in parallel;
+// the selection rule still reads the outcomes strictly in its serial
+// order, so the selected guess, its coreset and the error text are
+// identical to ResultSerial's.
 func (a *Auto) Result() (*coreset.Coreset, error) { return a.resultWith(extractWorkers()) }
 
 // ResultSerial is Result restricted to one worker — the fully serial
@@ -390,18 +401,13 @@ func (a *Auto) resultWith(workers int) (*coreset.Coreset, error) {
 		}
 		sp.End()
 	}()
+	est := -1
 	if a.reservoir.Clean() && len(a.reservoir.Sample()) >= 32 {
-		if cs := a.tryEstimateGuess(workers); cs != nil {
-			sp.Attr("via", "estimate")
-			sp.AttrFloat("o", cs.O)
-			mGuessSelected.Set(cs.O)
-			markGuess(cs.O, "selected")
-			return cs, nil
-		}
+		est = a.estimateGuess()
 	}
-	// Fallback (deletions dirtied the reservoir, or the estimate guess
-	// failed): ascending scan with weight-sanity, pruned from above by
-	// the deletion-proof cell-count bound — guesses beyond UpperBound/4
+	// The fallback scan (deletions dirtied the reservoir, or the estimate
+	// guess failed) ascends the guesses, pruned from above by the
+	// deletion-proof cell-count bound — guesses beyond UpperBound/4
 	// exceed OPT by at least the bound's looseness and can only lose
 	// quality, so they are never considered. The smallest surviving guess
 	// wins: o ≤ OPT is the side the analysis needs (Lemma 3.17); a
@@ -410,47 +416,59 @@ func (a *Auto) resultWith(workers int) (*coreset.Coreset, error) {
 	if upper, ok := a.costBound.UpperBound(a.params.K, 0); ok && upper > 0 {
 		guessCap = upper / 4
 	}
-	if workers > 1 {
-		// Speculative decode of the whole scan prefix: the scan stops at
-		// the first success, but which candidate that is cannot be known
-		// without decoding, and the units are independent — so all of
-		// them go through the pool at once.
-		var units []*sketch.Storing
-		for i, s := range a.streams {
-			if a.guesses[i] > guessCap {
-				break
-			}
-			units = s.planTargets(units)
-		}
-		warmStorings(units, workers)
+	selected := func(via string, cs *coreset.Coreset) (*coreset.Coreset, error) {
+		sp.Attr("via", via)
+		sp.AttrFloat("o", cs.O)
+		mGuessSelected.Set(cs.O)
+		markGuess(cs.O, "selected")
+		return cs, nil
 	}
-	var firstErr error
-	for i, s := range a.streams {
+	// The scan's candidates, in the order it consumes them; the estimate
+	// guess is left out, its outcome reused at its scan position.
+	var scan []int
+	for i := range a.streams {
 		if a.guesses[i] > guessCap {
 			break
 		}
-		mGuessAttempts.Inc()
-		markGuess(a.guesses[i], "attempt")
-		cs, err := s.resultWith(workers)
-		if err != nil {
-			mGuessFails.Inc()
-			markGuess(a.guesses[i], "fail")
-			if firstErr == nil {
-				firstErr = err
+		if i != est {
+			scan = append(scan, i)
+		}
+	}
+	arena := sketch.NewDecodeArena()
+	sc := a.startScan(scan, workers, est >= 0, arena)
+	defer sc.stop()
+
+	// The estimate guess runs on this goroutine while the pool starts on
+	// the scan. Its plan is lazy; only its ĥ stage — the large sketches
+	// of the levels the plan needs, which assembly reads up to the first
+	// FAIL — is decoded across the workers: that is where a lone guess's
+	// parallelism lies when it is selected.
+	var estErr error
+	if est >= 0 {
+		var cs *coreset.Coreset
+		cs, estErr = a.streams[est].extract(1, workers, arena)
+		if a.admit(est, cs, estErr) {
+			return selected("estimate", cs)
+		}
+	}
+	var firstErr error
+	pos := 0
+	for i := range a.streams {
+		if a.guesses[i] > guessCap {
+			break
+		}
+		err := estErr
+		if i != est {
+			var cs *coreset.Coreset
+			cs, err = sc.take(pos)
+			pos++
+			if a.admit(i, cs, err) {
+				return selected("scan", cs)
 			}
-			continue
 		}
-		w := cs.TotalWeight()
-		if math.Abs(w-float64(a.n)) > 0.3*float64(a.n)+1 {
-			mGuessRejects.Inc()
-			markGuess(a.guesses[i], "reject")
-			continue
+		if err != nil && firstErr == nil {
+			firstErr = err
 		}
-		sp.Attr("via", "scan")
-		sp.AttrFloat("o", cs.O)
-		mGuessSelected.Set(cs.O)
-		markGuess(a.guesses[i], "selected")
-		return cs, nil
 	}
 	sp.Attr("via", "none")
 	if firstErr != nil {
@@ -459,9 +477,10 @@ func (a *Auto) resultWith(workers int) (*coreset.Coreset, error) {
 	return nil, ErrNoGuessSucceeded
 }
 
-// tryEstimateGuess picks the guess from the reservoir's OPT estimate and
-// returns its coreset if it succeeds and is weight-sane; nil otherwise.
-func (a *Auto) tryEstimateGuess(workers int) *coreset.Coreset {
+// estimateGuess returns the index of the largest guess ≤ est/4, where
+// est is the reservoir's OPT estimate scaled to the stream, or −1 when
+// every guess exceeds it.
+func (a *Auto) estimateGuess() int {
 	sample := a.reservoir.Sample()
 	rng := rand.New(rand.NewSource(a.params.Seed ^ 0x0e57))
 	est := solve.EstimateOPT(rng, geo.UnitWeights(sample), a.params.K, a.params.R, a.delta, 2) *
@@ -473,23 +492,137 @@ func (a *Auto) tryEstimateGuess(workers int) *coreset.Coreset {
 			best = i
 		}
 	}
-	if best < 0 {
-		return nil
-	}
+	return best
+}
+
+// admit applies the selection rule to guess i's extraction outcome —
+// success with a coreset weight within 30% of the live count — and
+// records the attempt in the guess metrics.
+func (a *Auto) admit(i int, cs *coreset.Coreset, err error) bool {
 	mGuessAttempts.Inc()
-	markGuess(a.guesses[best], "attempt")
-	cs, err := a.streams[best].resultWith(workers)
+	markGuess(a.guesses[i], "attempt")
 	if err != nil {
 		mGuessFails.Inc()
-		markGuess(a.guesses[best], "fail")
-		return nil
+		markGuess(a.guesses[i], "fail")
+		return false
 	}
 	if w := cs.TotalWeight(); math.Abs(w-float64(a.n)) > 0.3*float64(a.n)+1 {
 		mGuessRejects.Inc()
-		markGuess(a.guesses[best], "reject")
-		return nil
+		markGuess(a.guesses[i], "reject")
+		return false
 	}
-	return cs
+	return true
+}
+
+// guessScan is the outcome table of one Auto.Result scan: the
+// candidate guesses in the order the selection rule consumes them, each
+// extracted at most once by the lazy serial path (plan → BuildLazy →
+// assemble).
+//
+// With one worker, take extracts on demand. Otherwise a pool of workers
+// claims positions in order, each with its own DecodeArena reused across
+// the guesses it extracts, while the selector waits on the outcomes in
+// order. The selector counts as a worker while it extracts the estimate
+// guess, so the pool then runs at most workers−1 claims; afterwards
+// claims stay within `workers` positions of the one the selector awaits.
+// Either way, when a guess is selected at most workers−1 extractions
+// above it were started in vain. stop ends the claims and waits for
+// every worker.
+type guessScan struct {
+	a     *Auto
+	order []int               // guess indices by position
+	arena *sketch.DecodeArena // the one-worker path's
+
+	// Pool state; ready == nil on the one-worker path.
+	mu      sync.Mutex
+	cond    sync.Cond
+	cs      []*coreset.Coreset
+	err     []error
+	ready   []bool
+	workers int
+	claimed int // positions handed to workers
+	limit   int // claims stay below this
+	stopped bool
+	wg      sync.WaitGroup
+}
+
+// startScan starts the scan over order; selectorBusy reports that the
+// selector is about to extract the estimate guess itself. arena serves
+// the one-worker path.
+func (a *Auto) startScan(order []int, workers int, selectorBusy bool, arena *sketch.DecodeArena) *guessScan {
+	sc := &guessScan{a: a, order: order, arena: arena}
+	workers = min(workers, len(order))
+	if workers <= 1 {
+		return sc
+	}
+	sc.cond.L = &sc.mu
+	sc.cs = make([]*coreset.Coreset, len(order))
+	sc.err = make([]error, len(order))
+	sc.ready = make([]bool, len(order))
+	sc.workers, sc.limit = workers, workers
+	if selectorBusy {
+		sc.limit = workers - 1
+	}
+	sc.wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go sc.work()
+	}
+	return sc
+}
+
+func (sc *guessScan) work() {
+	defer sc.wg.Done()
+	arena := sketch.NewDecodeArena()
+	for {
+		sc.mu.Lock()
+		for !sc.stopped && sc.claimed < len(sc.order) && sc.claimed >= sc.limit {
+			sc.cond.Wait()
+		}
+		if sc.stopped || sc.claimed >= len(sc.order) {
+			sc.mu.Unlock()
+			return
+		}
+		pos := sc.claimed
+		sc.claimed++
+		sc.mu.Unlock()
+
+		cs, err := sc.a.streams[sc.order[pos]].extract(1, 1, arena)
+
+		sc.mu.Lock()
+		sc.cs[pos], sc.err[pos], sc.ready[pos] = cs, err, true
+		sc.cond.Broadcast()
+		sc.mu.Unlock()
+	}
+}
+
+// take returns the outcome at position pos; positions are taken in
+// increasing order.
+func (sc *guessScan) take(pos int) (*coreset.Coreset, error) {
+	if sc.ready == nil {
+		return sc.a.streams[sc.order[pos]].extract(1, 1, sc.arena)
+	}
+	sc.mu.Lock()
+	if sc.limit < pos+sc.workers {
+		sc.limit = pos + sc.workers
+		sc.cond.Broadcast()
+	}
+	for !sc.ready[pos] {
+		sc.cond.Wait()
+	}
+	sc.mu.Unlock()
+	return sc.cs[pos], sc.err[pos]
+}
+
+// stop ends the claims and returns once every worker has exited.
+func (sc *guessScan) stop() {
+	if sc.ready == nil {
+		return
+	}
+	sc.mu.Lock()
+	sc.stopped = true
+	sc.cond.Broadcast()
+	sc.mu.Unlock()
+	sc.wg.Wait()
 }
 
 // DropDecodeCache discards the decode caches of every guess instance

@@ -1,8 +1,14 @@
 package stream
 
 import (
+	"errors"
+	"fmt"
+	"math"
 	"math/rand"
+	"runtime"
+	"strings"
 	"testing"
+	"time"
 
 	"streambalance/internal/coreset"
 	"streambalance/internal/workload"
@@ -110,45 +116,132 @@ func TestResultIdempotent(t *testing.T) {
 	equalExtraction(t, cs3, csRef, "interleaved extraction vs one-shot cold")
 }
 
-// TestExtractParallelMatchesSerial: the pool-decoded path and the lazy
-// serial path must agree bitwise on the selected guess and the coreset,
-// for both cold and warm caches. The pool is driven with 4 workers
-// regardless of GOMAXPROCS so the concurrent path (and its -race
-// coverage) is exercised even on single-CPU machines.
+// insertOps is the insert-only op stream of an n-point test mixture.
+func insertOps(seed int64, n int) []Op {
+	ps, _ := testMixture(seed, n)
+	ops := make([]Op, len(ps))
+	for i, p := range ps {
+		ops[i] = Op{P: p}
+	}
+	return ops
+}
+
+// selectionCase is one guess-selection regime of Auto.Result: the
+// ensemble seed, its op stream, and a check that the serial outcome is
+// really in that regime.
+type selectionCase struct {
+	name string
+	seed int64
+	ops  []Op
+	// regime fails the test unless the serial outcome (cs, err) of a
+	// takes the path the case is named for.
+	regime func(t *testing.T, a *Auto, cs *coreset.Coreset, err error)
+}
+
+func selectionCases() []selectionCase {
+	estimateOutcome := func(t *testing.T, a *Auto) (int, bool) {
+		t.Helper()
+		if !a.reservoir.Clean() {
+			t.Fatal("insert-only stream left the reservoir dirty")
+		}
+		est := a.estimateGuess()
+		if est < 0 {
+			t.Fatal("no estimate guess")
+		}
+		cs, err := a.streams[est].ResultSerial()
+		return est, err == nil && math.Abs(cs.TotalWeight()-float64(a.n)) <= 0.3*float64(a.n)+1
+	}
+	return []selectionCase{
+		{"estimate", 102, insertOps(2, 2000), func(t *testing.T, a *Auto, cs *coreset.Coreset, err error) {
+			if est, ok := estimateOutcome(t, a); !ok || err != nil || cs.O != a.guesses[est] {
+				t.Fatalf("want the estimate guess selected: estimate ok %v, result %v", ok, err)
+			}
+		}},
+		{"estimate-fails-scan", 103, insertOps(3, 3500), func(t *testing.T, a *Auto, cs *coreset.Coreset, err error) {
+			if _, ok := estimateOutcome(t, a); ok || err != nil {
+				t.Fatalf("want a FAILed estimate guess and a scan success: estimate ok %v, result %v", ok, err)
+			}
+		}},
+		{"churn-scan", 62, mixedOps(61, 2000), func(t *testing.T, a *Auto, cs *coreset.Coreset, err error) {
+			if a.reservoir.Clean() || err != nil {
+				t.Fatalf("want the deletion scan path to succeed: clean %v, result %v", a.reservoir.Clean(), err)
+			}
+		}},
+		{"all-fail", 101, insertOps(1, 5000), func(t *testing.T, a *Auto, cs *coreset.Coreset, err error) {
+			if _, ok := estimateOutcome(t, a); ok || !errors.Is(err, ErrNoGuessSucceeded) ||
+				!strings.Contains(err.Error(), "first failure") {
+				t.Fatalf("want every guess to FAIL with a first failure: estimate ok %v, result %v", ok, err)
+			}
+		}},
+	}
+}
+
+// waitGoroutines fails the test unless the goroutine count returns to
+// base: a worker's deferred wg.Done runs just before it exits, so the
+// count may trail the barrier briefly.
+func waitGoroutines(t *testing.T, base int, label string) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: %d goroutines alive after Result, baseline %d", label, runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestExtractParallelMatchesSerial: the guess-parallel scan and the lazy
+// serial path must agree bitwise on the selected guess, the coreset and
+// the error text, cold and warm, in every selection regime — the
+// estimate guess selected, a FAILed estimate followed by the scan, the
+// churn scan, and every guess FAILing — at 2, 4 and 8 workers
+// regardless of GOMAXPROCS (so the concurrent path and its -race
+// coverage run on single-CPU machines too). Every worker must have
+// exited when Result returns. One ensemble per case serves both paths
+// (extraction never changes sketch state, which the digest check
+// confirms), keeping the test's footprint under -race to one ensemble.
 func TestExtractParallelMatchesSerial(t *testing.T) {
-	ops := mixedOps(61, 2000)
-
-	par := extractTestAuto(t, 62)
-	ser := extractTestAuto(t, 62)
-	par.Apply(ops)
-	ser.Apply(ops)
-	if par.StateDigest() != ser.StateDigest() {
-		t.Fatal("identically-seeded instances disagree before extraction")
+	for _, tc := range selectionCases() {
+		t.Run(tc.name, func(t *testing.T) {
+			a := extractTestAuto(t, tc.seed)
+			a.Apply(tc.ops)
+			digest := a.StateDigest()
+			csS, errS := a.ResultSerial()
+			tc.regime(t, a, csS, errS)
+			same := func(cs *coreset.Coreset, err error, label string) {
+				t.Helper()
+				if (err == nil) != (errS == nil) {
+					t.Fatalf("%s: error %v, serial %v", label, err, errS)
+				}
+				if err != nil {
+					if err.Error() != errS.Error() {
+						t.Fatalf("%s: error %q, serial %q", label, err, errS)
+					}
+					return
+				}
+				equalExtraction(t, cs, csS, label)
+			}
+			for _, workers := range []int{2, 4, 8} {
+				a.DropDecodeCache()
+				for _, pass := range []string{"cold", "warm"} {
+					label := fmt.Sprintf("%d workers, %s", workers, pass)
+					base := runtime.NumGoroutine()
+					cs, err := a.resultWith(workers)
+					waitGoroutines(t, base, label)
+					same(cs, err, label)
+				}
+			}
+			// The serial path over caches the pool filled, and cold again.
+			cs, err := a.ResultSerial()
+			same(cs, err, "serial after parallel")
+			a.DropDecodeCache()
+			cs, err = a.ResultSerial()
+			same(cs, err, "cold serial")
+			if a.StateDigest() != digest {
+				t.Fatal("extraction mutated sketch state")
+			}
+		})
 	}
-
-	csP, errP := par.resultWith(4)  // cold, parallel decode
-	csS, errS := ser.ResultSerial() // cold, serial decode
-	if errP != nil || errS != nil {
-		t.Fatalf("results: %v / %v", errP, errS)
-	}
-	equalExtraction(t, csP, csS, "cold parallel vs cold serial")
-	if par.StateDigest() != ser.StateDigest() {
-		t.Fatal("extraction mutated sketch state")
-	}
-
-	// Warm repeats on both paths still agree.
-	csP2, _ := par.resultWith(4)
-	csS2, _ := ser.ResultSerial()
-	equalExtraction(t, csP2, csS2, "warm parallel vs warm serial")
-
-	// Cross-check: dropping the cache and re-extracting with the other
-	// path still matches.
-	par.DropDecodeCache()
-	csP3, err := par.ResultSerial()
-	if err != nil {
-		t.Fatal(err)
-	}
-	equalExtraction(t, csP, csP3, "cold serial after cache drop")
 }
 
 // TestExtractWarmMatchesCold: the epoch cache must be invisible — a warm

@@ -65,3 +65,48 @@ func TestGuessOutcomeVector(t *testing.T) {
 		t.Fatalf("selected outcome advanced while telemetry disabled: %d -> %d", before, got)
 	}
 }
+
+// TestGuessAttemptedOncePerCall: with telemetry on, one Result call
+// attempts each guess at most once — stream_guess_attempts_total moves
+// by at most len(Guesses()) — and an estimate guess that FAILs is
+// counted once, not again when the fallback scan passes it. Serial and
+// parallel paths record the same outcomes.
+func TestGuessAttemptedOncePerCall(t *testing.T) {
+	obs.Enable()
+	defer obs.Disable()
+	lbl := func(o float64) string { return strconv.FormatFloat(o, 'g', -1, 64) }
+	for _, tc := range selectionCases() {
+		if tc.name != "estimate-fails-scan" && tc.name != "all-fail" {
+			continue
+		}
+		t.Run(tc.name, func(t *testing.T) {
+			a := extractTestAuto(t, tc.seed)
+			a.Apply(tc.ops)
+			estO := a.guesses[a.estimateGuess()]
+			var perCall []int64
+			for _, workers := range []int{1, 2, 4} {
+				att0 := mGuessAttempts.Load()
+				estAtt0 := vGuessOutcome.With(lbl(estO), "attempt").Load()
+				estFail0 := vGuessOutcome.With(lbl(estO), "fail").Load()
+				cs, err := a.resultWith(workers)
+				tc.regime(t, a, cs, err)
+				d := mGuessAttempts.Load() - att0
+				if d < 1 || d > int64(len(a.Guesses())) {
+					t.Fatalf("%d workers: %d attempts for %d guesses", workers, d, len(a.Guesses()))
+				}
+				if n := vGuessOutcome.With(lbl(estO), "attempt").Load() - estAtt0; n != 1 {
+					t.Fatalf("%d workers: estimate guess %s attempted %d times, want 1", workers, lbl(estO), n)
+				}
+				if n := vGuessOutcome.With(lbl(estO), "fail").Load() - estFail0; n != 1 {
+					t.Fatalf("%d workers: estimate guess %s FAILed %d times, want 1", workers, lbl(estO), n)
+				}
+				perCall = append(perCall, d)
+			}
+			for _, d := range perCall[1:] {
+				if d != perCall[0] {
+					t.Fatalf("attempts per call differ across worker counts: %v", perCall)
+				}
+			}
+		})
+	}
+}
