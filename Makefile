@@ -1,4 +1,4 @@
-.PHONY: check check-assign check-coalesce check-dist check-hash check-incr check-obs check-perfbench check-shard test bench bench-diff bench-json bcbench profile-extract profile-ingest vet
+.PHONY: check check-assign check-coalesce check-dist check-hash check-incr check-obs check-perfbench test bench bench-diff bench-json bcbench profile-extract profile-ingest vet
 
 # Revision stamp for benchmark binaries: BENCH_*.json meta blocks must
 # identify the commit that produced them, and ReadBuildInfo's vcs.*
@@ -28,8 +28,10 @@ check-assign:
 # Fast ingest-coalescing pass: vet the ingest stack, pin the key
 # coalescer and the bucket-ordered UpdateN/UpdateScaledN kernels to the
 # per-op scatter path bit-for-bit under -race (including the
-# duplicate-heavy batch shapes and the columnar CellIndexN), then replay
-# the FuzzCoalescedIngestMatchesSerial seed corpus. Runs in a couple of
+# duplicate-heavy batch shapes and the columnar CellIndexN; the stream
+# suites compare Apply against the per-op and uncoalesced oracles of
+# internal/stream/oracle_test.go), then replay the
+# FuzzCoalescedIngestMatchesSerial seed corpus. Runs in a couple of
 # minutes; CI runs it before the full suite so ingest-write-path
 # regressions fail fast.
 check-coalesce:
@@ -87,17 +89,6 @@ check-hash:
 	go test -race -run 'MatchesScalar|MatchesReference|Worklist|InvCountField|DecodeArena|DecodeResults|PureAt|LaneKernels' ./internal/hashing ./internal/sketch ./internal/grid
 	go test -race -run 'FuzzEvalLanesMatchScalar' ./internal/hashing
 	go test -race -run 'FuzzDecodeWorklistMatchesReference' ./internal/sketch
-
-# Fast sharded-ingest pass: vet the sharding packages, pin the Sharded
-# front-end's bit-identity with serial Apply (every shard count, the
-# quiet-drain cache ride, the merge-drop counter and sketch Reset) under
-# -race, then replay the FuzzShardMerge seed corpus. Runs in a couple of
-# minutes; CI runs it before the full suite so sharding regressions fail
-# fast.
-check-shard:
-	go vet ./internal/stream ./internal/sketch
-	go test -race -run 'Sharded|ShardMerge|StoringCacheStats|StoringMergeDrop|StoringReset' ./internal/stream ./internal/sketch
-	go test -race -run FuzzShardMerge ./internal/stream
 
 # Serving-loop benchmark smoke pass: vet and test the perfbench module
 # (its own go.mod, so the root go test ./... does not reach it), then run

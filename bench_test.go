@@ -97,8 +97,8 @@ func BenchmarkStreamInsert(b *testing.B) {
 // BenchmarkStreamIngest is the ingest-throughput headline: the batched
 // shared-key pipeline (Auto.Apply) over the full guess ensemble — per-op
 // key columns computed once for all guesses, sketch work sharded across a
-// worker pool. Compare with BenchmarkStreamIngestPerOp, the serial
-// reference path.
+// worker pool. Compare with BenchmarkStreamIngestPerOp, which feeds one
+// op per Apply.
 func BenchmarkStreamIngest(b *testing.B) {
 	ps := benchPoints(4096)
 	a, err := streambalance.NewAutoStream(streambalance.StreamConfig{
@@ -125,7 +125,7 @@ func BenchmarkStreamIngest(b *testing.B) {
 }
 
 // BenchmarkStreamIngestPerOp feeds the same guess ensemble one op at a
-// time — the pre-batching ingest path, kept as the speedup baseline.
+// time (each Insert is a one-op Apply) — the speedup baseline.
 func BenchmarkStreamIngestPerOp(b *testing.B) {
 	ps := benchPoints(4096)
 	a, err := streambalance.NewAutoStream(streambalance.StreamConfig{

@@ -134,7 +134,7 @@ func TestMetricDirection(t *testing.T) {
 		"ops_per_sec_batched":            1,
 		"extracts_per_sec_cold":          1,
 		"speedup_workers8":               1,
-		"grid.0.ops_per_sec_by_shards.4": 1,
+		"ops_per_sec_batched_by_procs.2": 1,
 		"hash.0.ns_per_op_scalar":        -1,
 		"decode.1.ns_per_decode_ref":     -1,
 		"sec_serial":                     -1,

@@ -15,17 +15,16 @@
 // -bench skips the experiment suite and instead measures the field-kernel
 // and decoder hot paths (scalar vs 4-lane batched hashing, reference vs
 // worklist peeling decode), dynamic-stream
-// ingest throughput (batched shared-key pipeline vs per-op replay),
-// coreset-extraction throughput (cold parallel decode vs serial vs
-// epoch-cache warm), capacitated-assignment throughput (per-call
+// ingest throughput (batched shared-key pipeline vs one-op Applies, and
+// the batched pipeline re-run at each GOMAXPROCS setting of the -procs
+// matrix), coreset-extraction throughput (cold parallel decode vs serial
+// vs epoch-cache warm), capacitated-assignment throughput (per-call
 // fresh-graph vs arena-reuse vs warm-started capacity sweeps) and
 // distributed-protocol throughput (serial reference vs the pipelined
 // driver at 1/4/8 workers, plus measured wire bytes vs the closed-form
-// accounting) and sharded multicore ingest (the worker×GOMAXPROCS grid
-// of the Sharded front-end, re-run at each setting of the -procs
-// matrix), writing the numbers to BENCH_hash.json, BENCH_ingest.json,
-// BENCH_extract.json, BENCH_assign.json, BENCH_dist.json and
-// BENCH_shard.json for trajectory tracking.
+// accounting), writing the numbers to BENCH_hash.json,
+// BENCH_ingest.json, BENCH_extract.json, BENCH_assign.json and
+// BENCH_dist.json for trajectory tracking.
 package main
 
 import (
@@ -53,7 +52,6 @@ import (
 	"streambalance/internal/obs"
 	"streambalance/internal/sketch"
 	"streambalance/internal/solve"
-	"streambalance/internal/stream"
 	"streambalance/internal/workload"
 )
 
@@ -312,9 +310,11 @@ func benchHash(seed int64) error {
 }
 
 // benchIngest measures ingest ops/sec of the guess-enumeration ensemble
-// through the batched pipeline and the serial per-op path, prints a short
+// through the batched pipeline and through one-op Applies (Insert), then
+// re-runs the batched pipeline at every GOMAXPROCS setting of procs —
+// each run digest-checked against the one-op reference — prints a short
 // report and records it as BENCH_ingest.json.
-func benchIngest(scale float64, seed int64) error {
+func benchIngest(scale float64, seed int64, procs []int) error {
 	start := time.Now()
 	n := int(16384 * scale)
 	if n < 1024 {
@@ -341,31 +341,25 @@ func benchIngest(scale float64, seed int64) error {
 		serial.Insert(p)
 	}
 	perOpSec := float64(n) / time.Since(t0).Seconds()
+	refDigest := serial.StateDigest()
+	guesses := len(serial.Guesses())
+	serial = nil
 
 	ops := make([]streambalance.Op, n)
 	for i, p := range ps {
 		ops[i] = streambalance.Op{P: p}
 	}
 	const batchSize = 4096
-	applyBatched := func(ops []streambalance.Op) float64 {
+	applyBatched := func(ops []streambalance.Op) (float64, *streambalance.AutoStream) {
 		a := newAuto()
 		t0 := time.Now()
 		for i := 0; i < len(ops); i += batchSize {
-			end := i + batchSize
-			if end > len(ops) {
-				end = len(ops)
-			}
-			a.Apply(ops[i:end])
+			a.Apply(ops[i:min(i+batchSize, len(ops))])
 		}
-		return float64(len(ops)) / time.Since(t0).Seconds()
+		return float64(len(ops)) / time.Since(t0).Seconds(), a
 	}
 
-	// A/B over the key-coalescing stage (bit-identical paths; the knob
-	// only changes the write schedule).
-	batchedSec := applyBatched(ops)
-	prevCo := stream.SetCoalesce(false)
-	uncoalescedSec := applyBatched(ops)
-	stream.SetCoalesce(prevCo)
+	batchedSec, _ := applyBatched(ops)
 
 	// Duplicate-heavy variant: every op replayed 8× back to back — the
 	// coarse-level shape where coalescing collapses whole batches.
@@ -375,10 +369,26 @@ func benchIngest(scale float64, seed int64) error {
 			dup8 = append(dup8, op)
 		}
 	}
-	dup8Sec := applyBatched(dup8)
-	prevCo = stream.SetCoalesce(false)
-	dup8UncoalescedSec := applyBatched(dup8)
-	stream.SetCoalesce(prevCo)
+	dup8Sec, _ := applyBatched(dup8)
+	dup8 = nil
+
+	// Multicore scaling of the batched pipeline's (guess × level-range)
+	// worker pool. Sketch state is linear, so every setting must land on
+	// the one-op reference digest.
+	origProcs := runtime.GOMAXPROCS(0)
+	byProcs := map[string]any{}
+	var byProcsSec []float64
+	for _, p := range procs {
+		runtime.GOMAXPROCS(p)
+		sec, a := applyBatched(ops)
+		if a.StateDigest() != refDigest {
+			runtime.GOMAXPROCS(origProcs)
+			return fmt.Errorf("procs=%d: batched ingest diverged from the one-op reference", p)
+		}
+		byProcs[fmt.Sprintf("%d", p)] = sec
+		byProcsSec = append(byProcsSec, sec)
+	}
+	runtime.GOMAXPROCS(origProcs)
 
 	// Coalesce ratios, measured in a separate untimed pass so the timed
 	// runs above never pay for telemetry.
@@ -396,29 +406,28 @@ func benchIngest(scale float64, seed int64) error {
 	scatterSec, orderedSec := benchSketchUpdateN(seed)
 
 	rec := map[string]any{
-		"meta":                            runMeta(nil, start),
-		"bench":                           "stream_ingest",
-		"n_ops":                           n,
-		"guesses":                         len(serial.Guesses()),
-		"gomaxprocs":                      runtime.GOMAXPROCS(0),
-		"seed":                            seed,
-		"ops_per_sec_per_op":              perOpSec,
-		"ops_per_sec_batched":             batchedSec,
-		"ops_per_sec_batched_uncoalesced": uncoalescedSec,
-		"ops_per_sec_dup8":                dup8Sec,
-		"ops_per_sec_dup8_uncoalesced":    dup8UncoalescedSec,
-		"speedup":                         batchedSec / perOpSec,
-		"coalesce_speedup":                batchedSec / uncoalescedSec,
-		"coalesce_ratio":                  ratios,
-		"sketch_updates_per_sec_scatter":  scatterSec,
-		"sketch_updates_per_sec_ordered":  orderedSec,
+		"meta":                           runMeta(procs, start),
+		"bench":                          "stream_ingest",
+		"n_ops":                          n,
+		"guesses":                        guesses,
+		"gomaxprocs":                     runtime.GOMAXPROCS(0),
+		"seed":                           seed,
+		"ops_per_sec_per_op":             perOpSec,
+		"ops_per_sec_batched":            batchedSec,
+		"ops_per_sec_batched_by_procs":   byProcs,
+		"ops_per_sec_dup8":               dup8Sec,
+		"speedup":                        batchedSec / perOpSec,
+		"coalesce_ratio":                 ratios,
+		"sketch_updates_per_sec_scatter": scatterSec,
+		"sketch_updates_per_sec_ordered": orderedSec,
 	}
-	fmt.Printf("stream ingest  (n=%d ops, %d guesses, GOMAXPROCS=%d)\n", n, len(serial.Guesses()), runtime.GOMAXPROCS(0))
-	fmt.Printf("  per-op            : %12.0f ops/sec\n", perOpSec)
+	fmt.Printf("stream ingest  (n=%d ops, %d guesses, GOMAXPROCS=%d, NumCPU=%d)\n", n, guesses, runtime.GOMAXPROCS(0), runtime.NumCPU())
+	fmt.Printf("  one-op Apply      : %12.0f ops/sec\n", perOpSec)
 	fmt.Printf("  batched           : %12.0f ops/sec  (%.2fx)\n", batchedSec, batchedSec/perOpSec)
-	fmt.Printf("  batched, no-coal  : %12.0f ops/sec  (coalesce %.2fx)\n", uncoalescedSec, batchedSec/uncoalescedSec)
-	fmt.Printf("  dup8              : %12.0f ops/sec  (vs %.0f uncoalesced, %.2fx)\n",
-		dup8Sec, dup8UncoalescedSec, dup8Sec/dup8UncoalescedSec)
+	for i, p := range procs {
+		fmt.Printf("  batched, procs=%-3d: %12.0f ops/sec  (%.2fx over procs=%d)\n", p, byProcsSec[i], byProcsSec[i]/byProcsSec[0], procs[0])
+	}
+	fmt.Printf("  dup8              : %12.0f ops/sec\n", dup8Sec)
 	fmt.Printf("  coalesce ratio    : h=%.1f hp=%.1f hat=%.1f (ops in / keys out)\n",
 		ratios["h"], ratios["hp"], ratios["hat"])
 	fmt.Printf("  sketch UpdateN    : %12.0f upd/sec scatter, %.0f ordered (%.2fx)\n",
@@ -827,125 +836,8 @@ func benchDist(scale float64, seed int64) error {
 	return writeBench("BENCH_dist.json", rec)
 }
 
-// benchShard measures the sharded multicore ingest front-end: for every
-// GOMAXPROCS setting in the -procs matrix it re-runs the ingest ladder —
-// the unsharded batched pipeline as the baseline, then the Sharded
-// front-end at 1/2/4/8 workers — and records the worker×proc ops/sec
-// grid in BENCH_shard.json. Every configuration is digest-checked
-// against a serial reference: sharded ingest followed by merge must be
-// bit-identical to serial Apply of the same ops (the timed window covers
-// Apply+Flush; the merge runs inside the untimed digest check, its
-// latency captured by the stream_shard_merge_ns histogram).
-func benchShard(scale float64, seed int64, procs []int) error {
-	start := time.Now()
-	n := int(16384 * scale)
-	if n < 1024 {
-		n = 1024
-	}
-	rng := rand.New(rand.NewSource(seed))
-	ps, _ := workload.Mixture{N: n, D: 2, Delta: 1 << 12, K: 4, Spread: 20, Skew: 2, NoiseFrac: 0.05}.Generate(rng)
-	cfg := streambalance.StreamConfig{
-		Dim: 2, Delta: 1 << 12,
-		Params:       streambalance.Params{K: 4, Seed: seed},
-		CellSparsity: 512, PointSparsity: 2048,
-	}
-	ops := make([]streambalance.Op, n)
-	for i, p := range ps {
-		ops[i] = streambalance.Op{P: p}
-	}
-	const batchSize = 4096
-	newAuto := func() *streambalance.AutoStream {
-		a, err := streambalance.NewAutoStream(cfg, 4)
-		if err != nil {
-			panic(err)
-		}
-		return a
-	}
-	applyBatches := func(apply func([]streambalance.Op)) {
-		for i := 0; i < n; i += batchSize {
-			end := i + batchSize
-			if end > n {
-				end = n
-			}
-			apply(ops[i:end])
-		}
-	}
-
-	// Serial reference digest, computed once: every grid cell must
-	// recombine to exactly this state.
-	ref := newAuto()
-	applyBatches(ref.Apply)
-	refDigest := ref.StateDigest()
-	guesses := len(ref.Guesses())
-	ref = nil
-
-	workersLadder := []int{1, 2, 4, 8}
-	origProcs := runtime.GOMAXPROCS(0)
-	defer runtime.GOMAXPROCS(origProcs)
-
-	fmt.Printf("sharded ingest (n=%d ops, %d guesses, NumCPU=%d)\n", n, guesses, runtime.NumCPU())
-	type cell struct{ procs, workers int }
-	grid := make(map[cell]float64)
-	var rows []map[string]any
-	for _, p := range procs {
-		runtime.GOMAXPROCS(p)
-
-		batched := newAuto()
-		t0 := time.Now()
-		applyBatches(batched.Apply)
-		batchedSec := float64(n) / time.Since(t0).Seconds()
-		if batched.StateDigest() != refDigest {
-			return fmt.Errorf("procs=%d: batched pipeline diverged from the serial reference", p)
-		}
-		batched = nil
-
-		shardCols := map[string]any{}
-		for _, w := range workersLadder {
-			sh := streambalance.ShardAutoStream(newAuto(), w)
-			t0 := time.Now()
-			applyBatches(sh.Apply)
-			sh.Flush()
-			sec := float64(n) / time.Since(t0).Seconds()
-			if sh.StateDigest() != refDigest {
-				return fmt.Errorf("procs=%d workers=%d: sharded ingest diverged from the serial reference", p, w)
-			}
-			sh.Close()
-			grid[cell{p, w}] = sec
-			shardCols[fmt.Sprintf("%d", w)] = sec
-		}
-		rows = append(rows, map[string]any{
-			"procs":                 p,
-			"ops_per_sec_batched":   batchedSec,
-			"ops_per_sec_by_shards": shardCols,
-		})
-		fmt.Printf("  procs=%d  batched: %9.0f ops/sec   shards:", p, batchedSec)
-		for _, w := range workersLadder {
-			fmt.Printf("  %dw %9.0f", w, grid[cell{p, w}])
-		}
-		fmt.Println()
-	}
-	runtime.GOMAXPROCS(origProcs)
-
-	maxP := procs[len(procs)-1]
-	baseline := grid[cell{procs[0], 1}]
-	best := grid[cell{maxP, workersLadder[len(workersLadder)-1]}]
-	rec := map[string]any{
-		"meta":    runMeta(procs, start),
-		"bench":   "stream_shard",
-		"n_ops":   n,
-		"guesses": guesses,
-		"seed":    seed,
-		"workers": workersLadder,
-		"procs":   procs,
-		"grid":    rows,
-		"aggregate_speedup_8w_maxprocs_over_1w_minprocs": best / baseline,
-	}
-	fmt.Printf("  aggregate: %dw@%dprocs %.2fx over 1w@%dprocs\n", workersLadder[len(workersLadder)-1], maxP, best/baseline, procs[0])
-	return writeBench("BENCH_shard.json", rec)
-}
-
 // parseProcs parses the -procs flag: a comma-separated ascending list of
-// GOMAXPROCS settings for the shard matrix.
+// GOMAXPROCS settings for the batched-ingest scaling column.
 func parseProcs(s string) ([]int, error) {
 	var out []int
 	for _, f := range strings.Split(s, ",") {
@@ -975,7 +867,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "random seed")
 	only := flag.String("only", "", "comma-separated experiment ids (e.g. E1,E5); empty = all")
 	bench := flag.Bool("bench", false, "measure ingest and extraction throughput, writing BENCH_ingest.json and BENCH_extract.json")
-	procs := flag.String("procs", "1,2,4,8", "comma-separated ascending GOMAXPROCS matrix for the sharded-ingest bench")
+	procs := flag.String("procs", "1,2,4,8", "comma-separated ascending GOMAXPROCS matrix for the batched-ingest by-procs column")
 	debugAddr := flag.String("debug-addr", "", "serve /metrics, /debug/pprof/ and /debug/vars on this address (e.g. :6060) while running")
 	metricsDump := flag.String("metrics", "", "dump a final telemetry snapshot to stderr: text (Prometheus exposition) or json")
 	diffMode := flag.Bool("diff", false, "compare two BENCH_*.json records (bcbench -diff old.json new.json) and exit 1 on regression")
@@ -1037,7 +929,12 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		if err := benchIngest(*scale, *seed); err != nil {
+		procsMatrix, err := parseProcs(*procs)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(2)
+		}
+		if err := benchIngest(*scale, *seed, procsMatrix); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -1050,15 +947,6 @@ func main() {
 			os.Exit(1)
 		}
 		if err := benchDist(*scale, *seed); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		procsMatrix, err := parseProcs(*procs)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		if err := benchShard(*scale, *seed, procsMatrix); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}

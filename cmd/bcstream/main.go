@@ -29,6 +29,10 @@ import (
 	"streambalance/internal/streamfmt"
 )
 
+// chunkOps is the ingest batch size: updates are fed to the sketches
+// through Apply in chunks of this many ops, the last chunk partial.
+const chunkOps = 4096
+
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr))
 }
@@ -93,8 +97,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	cfg := streambalance.StreamConfig{Dim: *dim, Delta: *delta, Params: params}
 
 	type sink interface {
-		Insert(streambalance.Point)
-		Delete(streambalance.Point)
+		Apply([]streambalance.Op)
 		Bytes() int64
 		Result() (*streambalance.Coreset, error)
 	}
@@ -113,11 +116,12 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	}
 
 	var updates int64
+	chunk := make([]streambalance.Op, 0, chunkOps)
 	err = streamfmt.ReadUpdates(src, *dim, func(u streamfmt.Update) error {
-		if u.Delete {
-			s.Delete(u.P)
-		} else {
-			s.Insert(u.P)
+		chunk = append(chunk, streambalance.Op{P: u.P, Delete: u.Delete})
+		if len(chunk) == chunkOps {
+			s.Apply(chunk)
+			chunk = chunk[:0]
 		}
 		updates++
 		return nil
@@ -125,6 +129,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail(err)
 	}
+	s.Apply(chunk)
 
 	status := 0
 	if cs, err := s.Result(); err != nil {

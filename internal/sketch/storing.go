@@ -124,7 +124,7 @@ type sideBase struct {
 // the epoch past a cached entry (the invalidation count), Drops counts
 // DropCache calls that actually discarded a cached decode (including
 // Merge's internal drop). MergeDrops is the subset of Drops caused by
-// Merge — the cache churn a sharded-ingest recombination inflicts on the
+// Merge — the cache churn a Fork/Merge recombination inflicts on the
 // query snapshot (DESIGN.md §10); each MergeDrop is also counted in
 // Drops.
 //
@@ -612,7 +612,7 @@ func mergeDecodedItems(prev, delta []Item) ([]Item, bool) {
 // mismatch. Linearity makes the merged sketch equivalent to one that saw
 // both streams interleaved.
 //
-// A pristine sibling (epoch 0: never updated since birth or Reset) has
+// A pristine sibling (epoch 0: never updated since birth) has
 // an identically zero slab, so merging it is arithmetically a no-op —
 // Merge skips the state mutation entirely and a fresh decode cache
 // stays fresh. This is what keeps a fork that touched k levels from
@@ -667,25 +667,6 @@ func (st *Storing) invalidateForMerge() {
 		mCacheMergeDrops.Inc()
 	}
 	st.cache, st.cacheOK, st.cacheEpoch, st.cacheValid = StoringResult{}, false, 0, false
-}
-
-// Reset zeroes the sketch in place — slabs, net-update counter, epoch and
-// decode cache — keeping the hash functions and allocations: after Reset
-// the instance is state-identical to a newborn CloneEmpty sibling (equal
-// Digest, Epoch 0) but reuses its memory. The sharded ingest front-end
-// resets worker shards after folding them into the query snapshot instead
-// of reallocating fresh forks every merge cycle. Cache stats survive
-// (discarding a live cached decode counts as a drop).
-func (st *Storing) Reset() {
-	st.DropCache()
-	if st.cells != nil {
-		st.cells.Reset()
-	}
-	if st.points != nil {
-		st.points.Reset()
-	}
-	st.netUpdates = 0
-	st.epoch = 0
 }
 
 // CloneEmpty returns a zeroed Storing sharing st's hash functions, so the

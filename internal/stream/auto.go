@@ -87,59 +87,42 @@ func NewAuto(cfg Config, oFactor float64) (*Auto, error) {
 // Guesses returns the guess grid.
 func (a *Auto) Guesses() []float64 { return a.guesses }
 
-// Insert feeds (p, +) to every guess instance.
-func (a *Auto) Insert(p geo.Point) {
-	mOps.Inc()
-	a.n++
-	a.reservoir.Insert(p)
-	a.costBound.Insert(p)
-	for _, s := range a.streams {
-		// update, not Insert: stream_ops_total counts logical updates at
-		// the public entry point, not once per guess instance.
-		s.update(p, false)
-	}
-}
+// Insert feeds (p, +) to every guess instance as a one-op Apply.
+func (a *Auto) Insert(p geo.Point) { a.Apply([]Op{{P: p}}) }
 
-// Delete feeds (p, −) to every guess instance.
-func (a *Auto) Delete(p geo.Point) {
-	mOps.Inc()
-	mDeletes.Inc()
-	a.n--
-	a.reservoir.Delete(p)
-	a.costBound.Delete(p)
-	for _, s := range a.streams {
-		s.update(p, true)
-	}
-}
+// Delete feeds (p, −) to every guess instance as a one-op Apply.
+func (a *Auto) Delete(p geo.Point) { a.Apply([]Op{{P: p, Delete: true}}) }
 
 // Apply feeds a batch of updates to every guess instance through the
 // shared-key ingestion pipeline (ingest.go): the per-op key columns are
 // computed once — not once per guess — and the sketch work is sharded
 // over (guess × level-range) units across a worker pool sized to the
 // machine. Linearity of all sketch state makes the result bit-identical
-// to feeding the ops one at a time through Insert/Delete.
+// to writing the ops into every sketch one at a time.
+//
+// The batch is built — which validates every point's dimension — before
+// any state changes, so a malformed batch panics with the selectors and
+// the sketches still in step.
 func (a *Auto) Apply(ops []Op) {
 	if len(ops) == 0 {
 		return
 	}
-	countBatch(ops)
-	var net int64
-	for i := range ops {
-		if ops[i].Delete {
-			net--
-			a.reservoir.Delete(ops[i].P)
-			a.costBound.Delete(ops[i].P)
-		} else {
-			net++
-			a.reservoir.Insert(ops[i].P)
-			a.costBound.Insert(ops[i].P)
-		}
-	}
-	a.n += net
 	if a.b == nil {
 		a.b = new(batch)
 	}
 	a.b.build(a.g, a.fp, ops)
+	countBatch(ops)
+	for i := range ops {
+		if ops[i].Delete {
+			a.reservoir.Delete(ops[i].P)
+			a.costBound.Delete(ops[i].P)
+		} else {
+			a.reservoir.Insert(ops[i].P)
+			a.costBound.Insert(ops[i].P)
+		}
+	}
+	net := netCount(ops)
+	a.n += net
 	// Chunk each instance's L+1 levels into a few shards so the pool can
 	// balance load even when the instance count is near the core count.
 	chunk := (a.g.L + 4) / 4

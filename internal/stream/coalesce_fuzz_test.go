@@ -11,8 +11,9 @@ import (
 // FuzzCoalescedIngestMatchesSerial: random dynamic streams — interleaved
 // insertions and deletions of live points, with a duplication knob that
 // replays each op up to 8× to stress the coalescer — applied through the
-// batched pipeline with key-coalescing ON must be bit-identical to both
-// the per-op serial replay and the batched pipeline with coalescing OFF:
+// batched pipeline (which always coalesces keys) must be bit-identical to
+// both oracles of oracle_test.go — the per-op replay through
+// Storing.Insert/Delete and the uncoalesced batched write:
 // same StateDigest, same Bytes, and the same Result including the FAIL
 // side (the tiny sketch budgets make over-full decodes common here, and
 // coalescing must FAIL exactly when the serial path does). The seed
@@ -64,32 +65,18 @@ func FuzzCoalescedIngestMatchesSerial(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, op := range ops {
-			if op.Delete {
-				ref.Delete(op.P)
-			} else {
-				ref.Insert(op.P)
-			}
-		}
+		oracleReplay(ref, ops)
 
-		apply := func(coalesce bool) *Stream {
+		apply := func(feed func(*Stream, []Op)) *Stream {
 			s, err := New(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			prev := SetCoalesce(coalesce)
-			defer SetCoalesce(prev)
-			for i := 0; i < len(ops); i += chunk {
-				end := i + chunk
-				if end > len(ops) {
-					end = len(ops)
-				}
-				s.Apply(ops[i:end])
-			}
+			applyChunked(func(ops []Op) { feed(s, ops) }, ops, chunk)
 			return s
 		}
-		on := apply(true)
-		off := apply(false)
+		on := apply((*Stream).Apply)
+		off := apply(oracleApplyUncoalesced)
 
 		for _, tc := range []struct {
 			name string

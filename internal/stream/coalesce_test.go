@@ -25,8 +25,8 @@ func dupHeavyOps(seed int64, n, rep int) []Op {
 }
 
 // TestCoalescedApplyMatchesUncoalesced: key-coalescing must leave sketch
-// state bit-identical to both the uncoalesced batched path and the per-op
-// replay, for every chunk size — including a duplicate-heavy stream where
+// state bit-identical to both the uncoalesced oracle and the per-op
+// oracle, for every chunk size — including a duplicate-heavy stream where
 // the coalescer collapses nearly every batch.
 func TestCoalescedApplyMatchesUncoalesced(t *testing.T) {
 	for _, tc := range []struct {
@@ -42,25 +42,23 @@ func TestCoalescedApplyMatchesUncoalesced(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			replayPerOp(t, ref, tc.ops)
+			oracleReplay(ref, tc.ops)
 
-			for _, coalesce := range []bool{true, false} {
+			for _, path := range []struct {
+				name  string
+				apply func(*Stream, []Op)
+			}{
+				{"coalesced", (*Stream).Apply},
+				{"uncoalesced", oracleApplyUncoalesced},
+			} {
 				for _, chunk := range []int{1, 7, 64, len(tc.ops)} {
 					s, err := New(cfg)
 					if err != nil {
 						t.Fatal(err)
 					}
-					prev := SetCoalesce(coalesce)
-					for i := 0; i < len(tc.ops); i += chunk {
-						end := i + chunk
-						if end > len(tc.ops) {
-							end = len(tc.ops)
-						}
-						s.Apply(tc.ops[i:end])
-					}
-					SetCoalesce(prev)
+					applyChunked(func(ops []Op) { path.apply(s, ops) }, tc.ops, chunk)
 					if s.StateDigest() != ref.StateDigest() {
-						t.Fatalf("coalesce=%v chunk=%d: state diverged from per-op replay", coalesce, chunk)
+						t.Fatalf("%s chunk=%d: state diverged from per-op replay", path.name, chunk)
 					}
 					ca, errA := ref.Result()
 					cb, errB := s.Result()
@@ -81,27 +79,17 @@ func TestCoalescedAutoApplyMatchesUncoalesced(t *testing.T) {
 	cfg := Config{Dim: 2, Delta: testDelta, Params: coreset.Params{K: 3, Seed: 62},
 		CellSparsity: 512, PointSparsity: 2048}
 
-	digest := func(coalesce bool) (uint64, *Auto) {
+	build := func(apply func(*Auto, []Op)) *Auto {
 		a, err := NewAuto(cfg, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
-		prev := SetCoalesce(coalesce)
-		defer SetCoalesce(prev)
-		const chunk = 192
-		for i := 0; i < len(ops); i += chunk {
-			end := i + chunk
-			if end > len(ops) {
-				end = len(ops)
-			}
-			a.Apply(ops[i:end])
-		}
-		return a.StateDigest(), a
+		applyChunked(func(ops []Op) { apply(a, ops) }, ops, 192)
+		return a
 	}
-
-	don, aOn := digest(true)
-	doff, aOff := digest(false)
-	if don != doff {
+	aOn := build((*Auto).Apply)
+	aOff := build(oracleApplyUncoalescedAuto)
+	if aOn.StateDigest() != aOff.StateDigest() {
 		t.Fatal("coalesced Auto state diverged from uncoalesced")
 	}
 	ca, errA := aOn.Result()
@@ -109,45 +97,10 @@ func TestCoalescedAutoApplyMatchesUncoalesced(t *testing.T) {
 	sameCoreset(t, ca, cb, errA, errB)
 }
 
-// TestCoalescedShardedMatchesSerial: the Sharded front-end's workers call
-// applyLevels on private forks, so coalescing must flow through the
-// multicore path unchanged.
-func TestCoalescedShardedMatchesSerial(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
-	ops := dupHeavyOps(304, 50, 16)
-	cfg := Config{Dim: 2, Delta: testDelta, O: 1 << 11, Params: coreset.Params{K: 3, Seed: 63}}
-
-	ref, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref.Apply(ops)
-
-	for _, shards := range []int{1, 3} {
-		s, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sh := ShardStream(s, shards)
-		const chunk = 128
-		for i := 0; i < len(ops); i += chunk {
-			end := i + chunk
-			if end > len(ops) {
-				end = len(ops)
-			}
-			sh.Apply(ops[i:end])
-		}
-		if sh.StateDigest() != ref.StateDigest() {
-			t.Fatalf("shards=%d: coalesced sharded state diverged from serial", shards)
-		}
-		sh.Close()
-	}
-}
-
 // TestCoalesceCounters: with telemetry enabled, a duplicate-heavy apply
 // must report more sampled ops in than distinct keys out on the h
-// substream (the level-0 cell batch collapses), and the counters must
-// stay silent when coalescing is off.
+// substream (the level-0 cell batch collapses), and a one-op Insert
+// must report exactly as many keys out as ops in.
 func TestCoalesceCounters(t *testing.T) {
 	ops := dupHeavyOps(305, 40, 16)
 	cfg := Config{Dim: 2, Delta: testDelta, O: 1 << 11, Params: coreset.Params{K: 3, Seed: 64}}
@@ -182,17 +135,18 @@ func TestCoalesceCounters(t *testing.T) {
 		t.Fatalf("h substream coalesce ratio %v < 1", r)
 	}
 
-	// Off: the counters must not move.
-	in1 := mCoalesceIn[0].Load()
-	s2, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
+	// A one-op Insert has nothing to coalesce: every substream's rows
+	// out equal its ops in.
+	var before [3][2]int64
+	for k := 0; k < 3; k++ {
+		before[k] = [2]int64{mCoalesceIn[k].Load(), mCoalesceOut[k].Load()}
 	}
-	prev := SetCoalesce(false)
-	s2.Apply(ops)
-	SetCoalesce(prev)
-	if mCoalesceIn[0].Load() != in1 {
-		t.Fatal("coalesce counters advanced with coalescing disabled")
+	s.Insert(ops[0].P)
+	for k := 0; k < 3; k++ {
+		dIn, dOut := mCoalesceIn[k].Load()-before[k][0], mCoalesceOut[k].Load()-before[k][1]
+		if dIn != dOut {
+			t.Fatalf("substream %d: one-op Insert coalesced %d ops in into %d keys out", k, dIn, dOut)
+		}
 	}
 }
 

@@ -137,10 +137,10 @@ func TestMergeFineGrainedInvalidation(t *testing.T) {
 }
 
 // TestIncrementalExtractMatchesCold: under alternating small-batch
-// ingest and extraction, the incremental (spliced) results of a serial
-// ensemble and of a sharded front-end must stay bit-identical — digest,
-// Bytes and coreset (or matching failure) — to a sibling ensemble that
-// decodes every query cold. Run under -race by check-incr.
+// ingest and extraction, the incremental (spliced) results of an
+// ensemble must stay bit-identical — digest, Bytes and coreset (or
+// matching failure) — to a sibling ensemble that decodes every query
+// cold. Run under -race by check-incr.
 func TestIncrementalExtractMatchesCold(t *testing.T) {
 	ops := shuffledChurnOps(707, 900)
 	cfg := Config{Dim: 2, Delta: testDelta, Params: coreset.Params{K: 3, Seed: 77},
@@ -153,13 +153,6 @@ func TestIncrementalExtractMatchesCold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shCfg := cfg
-	shCfg.Shards = 4
-	sh, err := NewSharded(shCfg, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sh.Close()
 
 	const chunk = 128
 	for i := 0; i < len(ops); i += chunk {
@@ -169,15 +162,12 @@ func TestIncrementalExtractMatchesCold(t *testing.T) {
 		}
 		inc.Apply(ops[i:end])
 		cold.Apply(ops[i:end])
-		sh.Apply(ops[i:end])
 
 		ci, errI := inc.Result() // incremental: splices dirty levels
-		cs, errS := sh.Result()  // sharded: drain + merge, then incremental
 		cold.DropDecodeCache()   // force full peels on every unit
 		cc, errC := cold.ResultSerial()
 		sameCoreset(t, ci, cc, errI, errC)
-		sameCoreset(t, cs, cc, errS, errC)
-		if inc.StateDigest() != cold.StateDigest() || sh.StateDigest() != cold.StateDigest() {
+		if inc.StateDigest() != cold.StateDigest() {
 			t.Fatalf("state digests diverged after %d ops", end)
 		}
 		if inc.Bytes() != cold.Bytes() {

@@ -8,8 +8,8 @@ import (
 	"streambalance/internal/workload"
 )
 
-// Ingest benchmarks: the per-op serial path vs the batched shared-key
-// pipeline, for one guess instance and for the full guess enumeration.
+// Ingest benchmarks: one-op Applies vs batched Apply, for one guess
+// instance and for the full guess enumeration.
 // EXPERIMENTS.md records the reference numbers.
 
 func benchIngestOps(n int) []Op {
@@ -37,8 +37,8 @@ func reportOpsPerSec(b *testing.B) {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "ops/sec")
 }
 
-// BenchmarkIngestAutoPerOp is the pre-batching reference: one op at a
-// time, every guess instance fed serially.
+// BenchmarkIngestAutoPerOp feeds one op at a time: each Insert is a
+// one-op Apply over the whole ensemble.
 func BenchmarkIngestAutoPerOp(b *testing.B) {
 	ops := benchIngestOps(4096)
 	a := benchAuto(b)
@@ -66,24 +66,40 @@ func BenchmarkIngestAutoApply(b *testing.B) {
 	reportOpsPerSec(b)
 }
 
-// BenchmarkIngestAutoApplyUncoalesced is the same batched pipeline with
-// the key-coalescing stage disabled — the A/B partner quantifying what
-// coalescing buys on the Auto ensemble (bcbench records the same pair
-// in BENCH_ingest.json).
-func BenchmarkIngestAutoApplyUncoalesced(b *testing.B) {
-	ops := benchIngestOps(4096)
-	a := benchAuto(b)
-	prev := SetCoalesce(false)
-	defer SetCoalesce(prev)
-	b.ResetTimer()
-	for done := 0; done < b.N; done += len(ops) {
-		n := b.N - done
-		if n > len(ops) {
-			n = len(ops)
+// BenchmarkStreamIngest is the key-coalescing A/B over the same guess
+// ensemble: Auto.Apply (which always coalesces) against the uncoalesced
+// oracle of oracle_test.go, on the mixture stream and on a dup8 variant
+// that replays every op 8× back to back — the coarse-level shape where
+// coalescing collapses whole batches. The ops/sec ratio of each pair is
+// what coalescing buys.
+func BenchmarkStreamIngest(b *testing.B) {
+	base := benchIngestOps(4096)
+	dup8 := make([]Op, 0, 8*len(base))
+	for _, op := range base {
+		for r := 0; r < 8; r++ {
+			dup8 = append(dup8, op)
 		}
-		a.Apply(ops[:n])
 	}
-	reportOpsPerSec(b)
+	for _, in := range []struct {
+		name string
+		ops  []Op
+	}{{"mixture", base}, {"dup8", dup8}} {
+		for _, path := range []struct {
+			name  string
+			apply func(*Auto, []Op)
+		}{{"coalesced", (*Auto).Apply}, {"uncoalesced", oracleApplyUncoalescedAuto}} {
+			b.Run(in.name+"/"+path.name, func(b *testing.B) {
+				a := benchAuto(b)
+				ops := in.ops
+				b.ResetTimer()
+				for done := 0; done < b.N; done += 4096 {
+					start := done % len(ops)
+					path.apply(a, ops[start:start+min(4096, b.N-done)])
+				}
+				reportOpsPerSec(b)
+			})
+		}
+	}
 }
 
 func benchStream(b *testing.B) *Stream {
@@ -96,7 +112,7 @@ func benchStream(b *testing.B) *Stream {
 	return s
 }
 
-// BenchmarkIngestStreamPerOp: single guess instance, per-op path.
+// BenchmarkIngestStreamPerOp: single guess instance, one-op Applies.
 func BenchmarkIngestStreamPerOp(b *testing.B) {
 	ops := benchIngestOps(4096)
 	s := benchStream(b)

@@ -36,17 +36,6 @@ func shuffledChurnOps(seed int64, n int) []Op {
 	return append(ops, dels...)
 }
 
-func replayPerOp(t *testing.T, s *Stream, ops []Op) {
-	t.Helper()
-	for _, op := range ops {
-		if op.Delete {
-			s.Delete(op.P)
-		} else {
-			s.Insert(op.P)
-		}
-	}
-}
-
 func sameCoreset(t *testing.T, a, b *coreset.Coreset, errA, errB error) {
 	t.Helper()
 	if (errA == nil) != (errB == nil) {
@@ -67,43 +56,39 @@ func sameCoreset(t *testing.T, a, b *coreset.Coreset, errA, errB error) {
 }
 
 // TestApplyMatchesPerOp: the batched pipeline must produce bit-identical
-// sketch state — hence identical Bytes() and Result() — to per-op replay,
-// for every batch size.
+// sketch state — hence identical Bytes() and Result() — to the per-op
+// oracle, for every batch size (chunk 1 is what Insert/Delete do). At
+// o = 2¹² every sampler keeps every op; at o = 2²⁰ the fine levels'
+// h and ĥ samplers drop some, so each substream's selection mask matters.
 func TestApplyMatchesPerOp(t *testing.T) {
 	ops := shuffledChurnOps(101, 1200)
-	o := 1 << 12
-	cfg := Config{Dim: 2, Delta: testDelta, O: float64(o), Params: coreset.Params{K: 3, Seed: 51}}
-
-	ref, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	replayPerOp(t, ref, ops)
-
-	for _, chunk := range []int{1, 7, 64, len(ops)} {
-		s, err := New(cfg)
+	for _, o := range []float64{1 << 12, 1 << 20} {
+		cfg := Config{Dim: 2, Delta: testDelta, O: o, Params: coreset.Params{K: 3, Seed: 51}}
+		ref, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < len(ops); i += chunk {
-			end := i + chunk
-			if end > len(ops) {
-				end = len(ops)
+		oracleReplay(ref, ops)
+
+		for _, chunk := range []int{1, 7, 64, len(ops)} {
+			s, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
 			}
-			s.Apply(ops[i:end])
+			applyChunked(s.Apply, ops, chunk)
+			if s.N() != ref.N() {
+				t.Fatalf("o=%g chunk %d: N %d vs %d", o, chunk, s.N(), ref.N())
+			}
+			if s.Bytes() != ref.Bytes() {
+				t.Fatalf("o=%g chunk %d: Bytes %d vs %d", o, chunk, s.Bytes(), ref.Bytes())
+			}
+			if s.StateDigest() != ref.StateDigest() {
+				t.Fatalf("o=%g chunk %d: sketch state diverged from the per-op oracle", o, chunk)
+			}
+			ca, errA := ref.Result()
+			cb, errB := s.Result()
+			sameCoreset(t, ca, cb, errA, errB)
 		}
-		if s.N() != ref.N() {
-			t.Fatalf("chunk %d: N %d vs %d", chunk, s.N(), ref.N())
-		}
-		if s.Bytes() != ref.Bytes() {
-			t.Fatalf("chunk %d: Bytes %d vs %d", chunk, s.Bytes(), ref.Bytes())
-		}
-		if s.StateDigest() != ref.StateDigest() {
-			t.Fatalf("chunk %d: sketch state diverged from per-op replay", chunk)
-		}
-		ca, errA := ref.Result()
-		cb, errB := s.Result()
-		sameCoreset(t, ca, cb, errA, errB)
 	}
 }
 
@@ -122,25 +107,15 @@ func TestAutoApplyMatchesPerOp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, op := range ops {
-		if op.Delete {
-			ref.Delete(op.P)
-		} else {
-			ref.Insert(op.P)
-		}
-	}
+	oracleReplayAuto(ref, ops)
 
 	a, err := NewAuto(cfg, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const chunk = 256
-	for i := 0; i < len(ops); i += chunk {
-		end := i + chunk
-		if end > len(ops) {
-			end = len(ops)
-		}
-		a.Apply(ops[i:end])
+	applyChunked(a.Apply, ops, 256)
+	if a.n != ref.n || a.reservoir.Seen() != ref.reservoir.Seen() || a.costBound.n != ref.costBound.n {
+		t.Fatal("batched Auto.Apply selectors diverged from per-op replay")
 	}
 	if a.StateDigest() != ref.StateDigest() {
 		t.Fatal("batched Auto.Apply state diverged from per-op replay")
@@ -151,6 +126,47 @@ func TestAutoApplyMatchesPerOp(t *testing.T) {
 	ca, errA := ref.Result()
 	cb, errB := a.Result()
 	sameCoreset(t, ca, cb, errA, errB)
+}
+
+// TestAutoApplyRejectsBatchBeforeUpdating: a batch with a wrong-dimension
+// point must panic before touching any state — the guess selectors
+// (net count, reservoir, cost bound) and the sketches stay equal to a
+// fresh ensemble's. Insert is a one-op Apply, so it is covered too.
+func TestAutoApplyRejectsBatchBeforeUpdating(t *testing.T) {
+	cfg := Config{Dim: 2, Delta: 256, Params: coreset.Params{K: 2, Seed: 53},
+		CellSparsity: 64, PointSparsity: 128}
+	fresh, err := NewAuto(cfg, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		feed func(a *Auto)
+	}{
+		{"Apply", func(a *Auto) { a.Apply([]Op{{P: geo.Point{3, 4}}, {P: geo.Point{1, 2, 3}}}) }},
+		{"Insert", func(a *Auto) { a.Insert(geo.Point{1, 2, 3}) }},
+		{"Delete", func(a *Auto) { a.Delete(geo.Point{5}) }},
+	} {
+		a, err := NewAuto(cfg, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s: wrong-dimension point did not panic", tc.name)
+				}
+			}()
+			tc.feed(a)
+		}()
+		if a.n != fresh.n || a.reservoir.Seen() != fresh.reservoir.Seen() || a.costBound.n != fresh.costBound.n {
+			t.Fatalf("%s: selectors moved on a rejected batch: n=%d seen=%d costBound.n=%d",
+				tc.name, a.n, a.reservoir.Seen(), a.costBound.n)
+		}
+		if a.StateDigest() != fresh.StateDigest() {
+			t.Fatalf("%s: sketches moved on a rejected batch", tc.name)
+		}
+	}
 }
 
 // TestSharedGridAcrossGuesses: the guess instances of one Auto share one

@@ -17,7 +17,6 @@ package stream
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"math/rand"
 	"strconv"
@@ -32,12 +31,12 @@ import (
 )
 
 // Telemetry (DESIGN.md §9). Ingestion counters are bumped once per
-// logical update or per batch at the public entry points (Insert,
-// Delete, Apply on Stream and Auto) — never once per guess instance —
-// so stream_ops_total counts what the caller fed in, and
+// batch at the Apply entry points of Stream and Auto (Insert and Delete
+// are one-op batches) — never once per guess instance — so
+// stream_ops_total counts what the caller fed in, and
 // stream_sketch_updates_total counts the post-sampling fan-out the
 // sketches absorbed (accumulated locally in applyLevels, one atomic
-// add per shard).
+// add per applyLevels call).
 var (
 	mOps           = obs.C("stream_ops_total")
 	mDeletes       = obs.C("stream_deletes_total")
@@ -100,14 +99,6 @@ type Config struct {
 	PartRate  float64
 
 	FailProb float64 // δ for the sketches (default 0.01)
-
-	// Shards is the worker count of the sharded multicore ingest
-	// front-end (shard.go): NewSharded hash-partitions each Apply batch
-	// across this many ingest workers, each owning a private clone of
-	// every sketch, recombined lazily at extraction time. 0 sizes the
-	// pool to GOMAXPROCS. Ignored by New/NewAuto, whose Apply stays the
-	// single-dispatcher batched pipeline.
-	Shards int
 }
 
 func (c Config) withDefaults() (Config, error) {
@@ -222,44 +213,45 @@ func newShared(cfg Config, g *grid.Grid, fp *hashing.Fingerprint, rng *rand.Rand
 	return s
 }
 
-// Insert processes (p, +).
-func (s *Stream) Insert(p geo.Point) {
-	mOps.Inc()
-	s.update(p, false)
-}
+// Insert processes (p, +) as a one-op Apply.
+func (s *Stream) Insert(p geo.Point) { s.Apply([]Op{{P: p}}) }
 
-// Delete processes (p, −).
-func (s *Stream) Delete(p geo.Point) {
-	mOps.Inc()
-	mDeletes.Inc()
-	s.update(p, true)
-}
+// Delete processes (p, −) as a one-op Apply.
+func (s *Stream) Delete(p geo.Point) { s.Apply([]Op{{P: p, Delete: true}}) }
 
 // Apply processes a batch of updates through the columnar ingestion
 // pipeline (ingest.go): per-op keys are computed once and reused across
 // the h/h′/ĥ sketches of every level. All sketch state is linear, so the
-// result is bit-identical to replaying the ops through Insert/Delete.
+// result is bit-identical to writing the ops into the sketches one at a
+// time, in any batching (the per-op reference lives in oracle_test.go).
 func (s *Stream) Apply(ops []Op) {
 	if len(ops) == 0 {
 		return
 	}
-	countBatch(ops)
 	if s.b == nil {
 		s.b = new(batch)
 	}
 	s.b.build(s.g, s.fp, ops)
+	countBatch(ops)
 	s.applyLevels(s.b, 0, s.g.L)
+	s.n += netCount(ops)
+}
+
+// netCount returns the number of insertions minus deletions in ops.
+func netCount(ops []Op) int64 {
+	var net int64
 	for i := range ops {
 		if ops[i].Delete {
-			s.n--
+			net--
 		} else {
-			s.n++
+			net++
 		}
 	}
+	return net
 }
 
 // countBatch meters one Apply batch: a handful of atomic bumps per
-// batch, nothing per op.
+// batch, nothing per op. Insert and Delete count as one-op batches.
 func countBatch(ops []Op) {
 	if !obs.Enabled() {
 		return
@@ -274,46 +266,6 @@ func countBatch(ops []Op) {
 		}
 	}
 	mDeletes.Add(dels)
-}
-
-func (s *Stream) update(p geo.Point, del bool) {
-	if len(p) != s.g.Dim {
-		panic(fmt.Sprintf("stream: point dim %d != %d", len(p), s.g.Dim))
-	}
-	if del {
-		s.n--
-	} else {
-		s.n++
-	}
-	key := s.fp.Key(p)
-	var nSel int64
-	for i := 0; i <= s.g.L; i++ {
-		if i <= s.g.L-1 && s.hSamp[i].Sample(key) {
-			if del {
-				s.hStore[i].Delete(p)
-			} else {
-				s.hStore[i].Insert(p)
-			}
-			nSel++
-		}
-		if s.hpSamp[i].Sample(key) {
-			if del {
-				s.hpStore[i].Delete(p)
-			} else {
-				s.hpStore[i].Insert(p)
-			}
-			nSel++
-		}
-		if s.hatSamp[i].Sample(key) {
-			if del {
-				s.hatStore[i].Delete(p)
-			} else {
-				s.hatStore[i].Insert(p)
-			}
-			nSel++
-		}
-	}
-	mSketchUpdates.Add(nSel)
 }
 
 // N returns the exact current number of points.
