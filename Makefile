@@ -1,4 +1,4 @@
-.PHONY: check check-assign check-coalesce check-dist check-hash check-incr check-obs check-perfbench test bench bench-diff bench-json bcbench profile-extract profile-ingest vet
+.PHONY: check check-assign check-dist check-incr check-kernels check-obs check-perfbench test bench bench-diff bench-json bcbench profile-extract profile-ingest vet
 
 # Revision stamp for benchmark binaries: BENCH_*.json meta blocks must
 # identify the commit that produced them, and ReadBuildInfo's vcs.*
@@ -13,7 +13,7 @@ STAMP_LDFLAGS := -X main.buildRevision=$(GIT_REV) -X main.buildDirty=$(GIT_DIRTY
 # suite under the race detector — the batched-ingest, parallel-extraction
 # and assignment-engine equivalence tests only mean something with -race
 # on. CI runs check-assign first (fast fail), then this.
-check: check-coalesce check-incr
+check: check-kernels check-incr
 	go vet ./...
 	go build ./...
 	go test -race ./...
@@ -24,20 +24,6 @@ check: check-coalesce check-incr
 # runs it before the full suite so engine regressions fail fast.
 check-assign:
 	go test -short -race -run 'Assign|DistRMatrix' ./internal/flow ./internal/geo ./internal/assign ./internal/experiments
-
-# Fast ingest-coalescing pass: vet the ingest stack, pin the key
-# coalescer and the bucket-ordered UpdateN/UpdateScaledN kernels to the
-# per-op scatter path bit-for-bit under -race (including the
-# duplicate-heavy batch shapes and the columnar CellIndexN; the stream
-# suites compare Apply against the per-op and uncoalesced oracles of
-# internal/stream/oracle_test.go), then replay the
-# FuzzCoalescedIngestMatchesSerial seed corpus. Runs in a couple of
-# minutes; CI runs it before the full suite so ingest-write-path
-# regressions fail fast.
-check-coalesce:
-	go vet ./internal/stream ./internal/sketch ./internal/grid
-	go test -race -run 'Coalesce|Scaled|Ordered|CellIndexN|DuplicateHeavy' ./internal/stream ./internal/sketch ./internal/grid
-	go test -race -run 'FuzzCoalescedIngestMatchesSerial' ./internal/stream
 
 # Fast distributed-protocol pass: vet the protocol packages and pin the
 # wire codec, both transports, the pipelined driver's bit-identity with
@@ -78,17 +64,24 @@ check-obs:
 	go test -run OverheadBudget ./internal/obs
 	go test -run xxx -bench 'Disabled' -benchtime 100000x ./internal/obs
 
-# Fast field-kernel/decoder pass: vet the hashing/sketch/grid layers, pin
-# the 4-lane batched kernels (Eval4/EvalN, SampleN, Key4/KeyN,
-# ParentKeys4, UpdateN) and the worklist peeling decoder to their scalar
-# references bit-for-bit under -race, then replay the lane-kernel and
-# decoder fuzz seed corpora. Runs in seconds; CI runs it before the full
-# suite so hot-path kernel regressions fail fast.
-check-hash:
-	go vet ./internal/hashing ./internal/sketch ./internal/grid
-	go test -race -run 'MatchesScalar|MatchesReference|Worklist|InvCountField|DecodeArena|DecodeResults|PureAt|LaneKernels' ./internal/hashing ./internal/sketch ./internal/grid
-	go test -race -run 'FuzzEvalLanesMatchScalar' ./internal/hashing
-	go test -race -run 'FuzzDecodeWorklistMatchesReference' ./internal/sketch
+# Fast write-path and decoder kernel pass: vet the hashing/sketch/grid/
+# stream layers, then under -race pin
+#   - the 4-lane batched field kernels (Eval4/EvalN, SampleN, Key4/KeyN,
+#     ParentKeys4, CellIndexN) to their scalar routines,
+#   - both sketch write layouts (bucket-ordered and 4-lane scatter,
+#     driven directly, plus the size-rule dispatch) and the Storing
+#     batched write to per-op Update / Insert/Delete, including
+#     duplicate-heavy and coalesced zero-delta batches,
+#   - the worklist peeling decoder to the round-based reference decoder,
+#   - the ingest key coalescer (Apply against the per-op and uncoalesced
+#     oracles of internal/stream/oracle_test.go),
+# replaying the FuzzEvalLanesMatchScalar, FuzzDecodeWorklistMatchesReference
+# and FuzzCoalescedIngestMatchesSerial seed corpora. Runs in a couple of
+# minutes; CI runs it before the full suite so hot-path kernel and
+# ingest-write-path regressions fail fast.
+check-kernels:
+	go vet ./internal/hashing ./internal/sketch ./internal/grid ./internal/stream
+	go test -race -run 'MatchesScalar|MatchScalar|MatchesReference|Worklist|InvCountField|DecodeArena|DecodeResults|PureAt|LaneKernels|Coalesce|Scaled|Ordered|CellIndexN|DuplicateHeavy|ReusedScratch|UpdateKeyed' ./internal/hashing ./internal/sketch ./internal/grid ./internal/stream
 
 # Serving-loop benchmark smoke pass: vet and test the perfbench module
 # (its own go.mod, so the root go test ./... does not reach it), then run

@@ -17,26 +17,27 @@ func BenchmarkSparseUpdate(b *testing.B) {
 				sr.Update(uint64(i), payload, 1)
 			}
 		})
-		b.Run(testutil.BenchName("s", s)+"/batch", func(b *testing.B) {
-			sr := NewSparseRecovery(rand.New(rand.NewSource(1)), s, 0.01, 2)
-			const chunk = 512
-			keys := make([]uint64, chunk)
-			payload := make([]int64, chunk*2)
-			deltas := make([]int64, chunk)
-			for i := 0; i < chunk; i++ {
-				keys[i] = uint64(i) * 0x9e3779b97f4a7c15
-				payload[2*i], payload[2*i+1] = 7, 9
-				deltas[i] = 1
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i += chunk {
-				n := chunk
-				if rem := b.N - i; rem < n {
-					n = rem
+		// Production's size-rule dispatch, then each layout forced: the
+		// ordered-vs-scatter A/B at one batch shape.
+		for _, k := range batchKernels {
+			b.Run(testutil.BenchName("s", s)+"/"+k.name, func(b *testing.B) {
+				sr := NewSparseRecovery(rand.New(rand.NewSource(1)), s, 0.01, 2)
+				const chunk = 512
+				keys := make([]uint64, chunk)
+				payload := make([]int64, chunk*2)
+				deltas := make([]int64, chunk)
+				for i := 0; i < chunk; i++ {
+					keys[i] = uint64(i) * 0x9e3779b97f4a7c15
+					payload[2*i], payload[2*i+1] = 7, 9
+					deltas[i] = 1
 				}
-				sr.UpdateN(keys[:n], payload[:n*2], deltas[:n])
-			}
-		})
+				b.ResetTimer()
+				for i := 0; i < b.N; i += chunk {
+					n := min(chunk, b.N-i)
+					k.apply(sr, keys[:n], payload[:n*2], deltas[:n])
+				}
+			})
+		}
 	}
 }
 

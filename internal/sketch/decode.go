@@ -1,9 +1,10 @@
 // Worklist peeling decoder for SparseRecovery.
 //
-// The reference decoder (DecodeReference) repeatedly rescans the whole
-// rows×width slab until a round extracts nothing — O(rows·width) bucket
-// probes per peeled item in the worst case, with a full slab clone and a
-// payload allocation per candidate on top. The decoder here is the
+// The round-based reference decoder (a test oracle, reference_test.go)
+// repeatedly rescans the whole rows×width slab until a round extracts
+// nothing — O(rows·width) bucket probes per peeled item in the worst
+// case, with a full slab clone and a payload allocation per candidate on
+// top. The decoder here is the
 // standard IBLT worklist formulation: a FIFO of candidate buckets seeded
 // with every non-empty bucket, where peeling an item enqueues only the
 // ≤ rows buckets its removal touched. Each bucket is probed O(1) times

@@ -217,7 +217,7 @@ func deepCopyResult(r StoringResult) StoringResult {
 // TestCacheBytesIncludesBase: the CacheBytes gauge must account for the
 // differential base (slab snapshots + cached item lists) on top of the
 // cached result, stay out of Bytes (the Theorem 4.5 space accounting),
-// and return to zero on DropCache.
+// and return to zero on DropCache and after a FAILed decode.
 func TestCacheBytesIncludesBase(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	g := buildGrid(t, 256, 2, 41)
@@ -246,16 +246,24 @@ func TestCacheBytesIncludesBase(t *testing.T) {
 		t.Fatalf("DropCache left CacheBytes = %d, want 0", cb)
 	}
 
-	// With incremental decode off no snapshots are retained: the gauge
-	// holds only the decoded lists, strictly below the slab footprint.
-	prev := SetIncremental(false)
-	defer SetIncremental(prev)
+	// A decode loaded past the budget FAILs on the cold path (the
+	// residual is too dense to splice) and clears the base: nothing of
+	// the cache or the base stays accounted.
 	st.Result()
-	if cb := st.CacheBytes(); cb == 0 || cb >= bytes0 {
-		t.Fatalf("CacheBytes with incremental off = %d, want in (0, %d)", cb, bytes0)
+	if cb := st.CacheBytes(); cb < bytes0 {
+		t.Fatalf("CacheBytes after re-decode %d < Bytes %d", cb, bytes0)
 	}
-	st.DropCache()
-	if st.CacheBytes() != 0 {
-		t.Fatal("DropCache (incremental off) left CacheBytes nonzero")
+	fallbacks := st.CacheStats().SpliceFallbacks
+	for i := 0; i < 64; i++ {
+		st.Insert(geo.Point{1 + rng.Int63n(255), 1 + rng.Int63n(255)})
+	}
+	if _, ok := st.Result(); ok {
+		t.Fatal("72 points in a beta=16 sketch must FAIL")
+	}
+	if got := st.CacheStats().SpliceFallbacks; got != fallbacks+1 {
+		t.Fatalf("SpliceFallbacks %d -> %d, want +1 (cold FAIL)", fallbacks, got)
+	}
+	if cb := st.CacheBytes(); cb != 0 {
+		t.Fatalf("CacheBytes after a FAILed decode = %d, want 0", cb)
 	}
 }

@@ -28,51 +28,77 @@ func randBatch(rng *rand.Rand, n, nKeys, pd int) (keys []uint64, payload []int64
 	return
 }
 
-// TestUpdateNOrderedMatchesScatter pins the bucket-ordered kernel against
-// the per-op and 4-lane scatter paths: for batch sizes on both sides of
-// the orderedMinRows threshold, payload dims 0 and 2, and deltas spanning
-// negative and zero, all three write schedules must leave bit-identical
-// slabs.
+// scaleRows returns payload with each row multiplied by its delta: a raw,
+// uncoalesced batch in the pre-scaled form the batch kernels take.
+func scaleRows(payload, deltas []int64, pd int) []int64 {
+	if pd == 0 {
+		return nil
+	}
+	out := make([]int64, len(payload))
+	for t, d := range deltas {
+		for j := 0; j < pd; j++ {
+			out[t*pd+j] = d * payload[t*pd+j]
+		}
+	}
+	return out
+}
+
+// perOpUpdate applies a raw batch one op at a time through Update — the
+// reference every batch write is pinned to.
+func perOpUpdate(sr *SparseRecovery, keys []uint64, payload, deltas []int64, pd int) {
+	for t := range keys {
+		var row []int64
+		if pd > 0 {
+			row = payload[t*pd : (t+1)*pd]
+		}
+		sr.Update(keys[t], row, deltas[t])
+	}
+}
+
+// batchKernels are the two slab-write layouts, driven directly so both
+// run on every batch size, plus ("batch") the size-rule dispatch
+// production calls.
+var batchKernels = []struct {
+	name  string
+	apply func(sr *SparseRecovery, keys []uint64, scaled, deltas []int64)
+}{
+	{"ordered", (*SparseRecovery).updateOrderedN},
+	{"lanes", (*SparseRecovery).updateLanesN},
+	{"batch", (*SparseRecovery).UpdateScaledN},
+}
+
+// TestUpdateNOrderedMatchesScatter pins the bucket-ordered kernel and the
+// 4-lane scatter kernel to per-op Update: for batch sizes on both sides
+// of the orderedMinRows threshold, payload dims 0 and 2, and deltas
+// spanning negative and zero, every write schedule must leave
+// bit-identical slabs.
 func TestUpdateNOrderedMatchesScatter(t *testing.T) {
 	for _, pd := range []int{0, 2} {
 		for _, n := range []int{1, 3, orderedMinRows - 1, orderedMinRows, 257, 1024} {
 			rng := rand.New(rand.NewSource(int64(1000*pd + n)))
 			base := NewSparseRecovery(rand.New(rand.NewSource(7)), 32, 0.01, pd)
 			keys, payload, deltas := randBatch(rng, n, 5+rng.Intn(n+1), pd)
+			scaled := scaleRows(payload, deltas, pd)
 
 			perOp := base.CloneEmpty()
-			for i := 0; i < n; i++ {
-				var row []int64
-				if pd > 0 {
-					row = payload[i*pd : (i+1)*pd]
+			perOpUpdate(perOp, keys, payload, deltas, pd)
+			for _, k := range batchKernels {
+				got := base.CloneEmpty()
+				k.apply(got, keys, scaled, deltas)
+				if d1, d2 := perOp.Digest(), got.Digest(); d1 != d2 {
+					t.Fatalf("pd=%d n=%d: %s digest %x != per-op %x", pd, n, k.name, d2, d1)
 				}
-				perOp.Update(keys[i], row, deltas[i])
-			}
-
-			ordered := base.CloneEmpty()
-			prev := SetBucketOrder(true)
-			ordered.UpdateN(keys, payload, deltas)
-			SetBucketOrder(false)
-			lanes := base.CloneEmpty()
-			lanes.UpdateN(keys, payload, deltas)
-			SetBucketOrder(prev)
-
-			if d1, d2 := perOp.Digest(), ordered.Digest(); d1 != d2 {
-				t.Fatalf("pd=%d n=%d: ordered digest %x != per-op %x", pd, n, d2, d1)
-			}
-			if d1, d2 := perOp.Digest(), lanes.Digest(); d1 != d2 {
-				t.Fatalf("pd=%d n=%d: lanes digest %x != per-op %x", pd, n, d2, d1)
 			}
 		}
 	}
 }
 
-// TestUpdateScaledNMatchesUpdateN verifies the pre-aggregated entry
-// point: manually coalescing a batch by key (summing deltas and
-// delta-scaled payload rows) and feeding the sums through UpdateScaledN
-// must be bit-identical to the raw batch through UpdateN — including
-// coalesced rows whose delta sum cancels to zero while the payload sum
-// does not, the case a naive zero-delta skip would drop.
+// TestUpdateScaledNMatchesUpdateN verifies the pre-aggregated write
+// rule: manually coalescing a batch by key (summing deltas and
+// delta-scaled payload rows) and feeding the sums through either kernel
+// must be bit-identical to the raw batch applied per op through Update —
+// including coalesced rows whose delta sum cancels to zero while the
+// payload sum does not, the case a naive zero-delta skip would drop.
 func TestUpdateScaledNMatchesUpdateN(t *testing.T) {
 	const pd = 3
 	for _, n := range []int{2, 16, orderedMinRows * 4} {
@@ -86,7 +112,7 @@ func TestUpdateScaledNMatchesUpdateN(t *testing.T) {
 		deltas = append(deltas, 1, -1)
 
 		raw := base.CloneEmpty()
-		raw.UpdateN(keys, payload, deltas)
+		perOpUpdate(raw, keys, payload, deltas, pd)
 
 		// Coalesce by key in first-occurrence order, exactly as the ingest
 		// coalescer does.
@@ -108,13 +134,11 @@ func TestUpdateScaledNMatchesUpdateN(t *testing.T) {
 			}
 		}
 
-		for _, ordered := range []bool{true, false} {
+		for _, k := range batchKernels {
 			co := base.CloneEmpty()
-			prev := SetBucketOrder(ordered)
-			co.UpdateScaledN(cKeys, cScaled, cDeltas)
-			SetBucketOrder(prev)
+			k.apply(co, cKeys, cScaled, cDeltas)
 			if d1, d2 := raw.Digest(), co.Digest(); d1 != d2 {
-				t.Fatalf("n=%d ordered=%v: coalesced digest %x != raw %x", n, ordered, d2, d1)
+				t.Fatalf("n=%d %s: coalesced digest %x != raw %x", n, k.name, d2, d1)
 			}
 		}
 	}
@@ -138,23 +162,20 @@ func TestUpdateNDuplicateHeavyBatch(t *testing.T) {
 	}
 
 	perOp := base.CloneEmpty()
-	for i := range keys {
-		perOp.Update(keys[i], payload[i*pd:(i+1)*pd], deltas[i])
-	}
+	perOpUpdate(perOp, keys, payload, deltas, pd)
 	wantItems, wantOK := perOp.Decode()
 
-	for _, ordered := range []bool{true, false} {
+	scaled := scaleRows(payload, deltas, pd)
+	for _, k := range batchKernels {
 		got := base.CloneEmpty()
-		prev := SetBucketOrder(ordered)
-		got.UpdateN(keys, payload, deltas)
-		SetBucketOrder(prev)
+		k.apply(got, keys, scaled, deltas)
 		if d1, d2 := perOp.Digest(), got.Digest(); d1 != d2 {
-			t.Fatalf("ordered=%v: digest %x != per-op %x", ordered, d2, d1)
+			t.Fatalf("%s: digest %x != per-op %x", k.name, d2, d1)
 		}
 		items, ok := got.Decode()
 		if ok != wantOK || len(items) != len(wantItems) {
-			t.Fatalf("ordered=%v: decode ok=%v n=%d, want ok=%v n=%d",
-				ordered, ok, len(items), wantOK, len(wantItems))
+			t.Fatalf("%s: decode ok=%v n=%d, want ok=%v n=%d",
+				k.name, ok, len(items), wantOK, len(wantItems))
 		}
 	}
 }
@@ -170,16 +191,12 @@ func TestUpdateNReusedScratchIndependent(t *testing.T) {
 	k2, p2, d2 := randBatch(rng, orderedMinRows+5, 3, pd)
 
 	seq := base.CloneEmpty()
-	seq.UpdateN(k1, p1, d1)
-	seq.UpdateN(k2, p2, d2)
+	seq.updateOrderedN(k1, scaleRows(p1, d1, pd), d1)
+	seq.updateOrderedN(k2, scaleRows(p2, d2, pd), d2)
 
 	perOp := base.CloneEmpty()
-	for i := range k1 {
-		perOp.Update(k1[i], p1[i*pd:(i+1)*pd], d1[i])
-	}
-	for i := range k2 {
-		perOp.Update(k2[i], p2[i*pd:(i+1)*pd], d2[i])
-	}
+	perOpUpdate(perOp, k1, p1, d1, pd)
+	perOpUpdate(perOp, k2, p2, d2, pd)
 	if a, b := seq.Digest(), perOp.Digest(); a != b {
 		t.Fatalf("sequential batches digest %x != per-op %x", a, b)
 	}

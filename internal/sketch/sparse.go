@@ -15,7 +15,6 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
-	"sync/atomic"
 
 	"streambalance/internal/hashing"
 )
@@ -71,7 +70,7 @@ type SparseRecovery struct {
 // updScratch holds the reusable buffers of the bucket-ordered batch
 // kernel (updateOrderedN). It is private to one SparseRecovery — updates
 // must not run concurrently on one sketch (the Storing contract), and
-// CloneEmpty/clone never share it — so no synchronization is needed.
+// CloneEmpty never shares it — so no synchronization is needed.
 type updScratch struct {
 	rk   []uint64 // reduced keys
 	fe   []uint64 // fingerprint evaluations
@@ -104,21 +103,6 @@ func (sr *SparseRecovery) scratch(n int) *updScratch {
 	return s
 }
 
-// bucketOrderOn gates the bucket-ordered application mode of
-// UpdateN/UpdateScaledN (on by default). Both modes are bit-identical —
-// exact commutative sums make write order irrelevant — so the knob is
-// purely a perf A/B switch for benchmarks and the equivalence tests.
-var bucketOrderOn = func() *atomic.Bool {
-	var b atomic.Bool
-	b.Store(true)
-	return &b
-}()
-
-// SetBucketOrder enables or disables bucket-ordered batch application,
-// returning the previous setting. Safe to call between batches; both
-// settings produce bit-identical sketch state.
-func SetBucketOrder(on bool) bool { return bucketOrderOn.Swap(on) }
-
 // orderedMinRows is the batch size below which the bucket-ordering
 // pass (hash columns + per-row counting sort) costs more than the
 // cache locality it buys; small batches take the 4-lane scatter path.
@@ -129,7 +113,7 @@ const orderedMinRows = 64
 // relative to the bucket row (zeroing width counters per row has to
 // amortize over the items).
 func (sr *SparseRecovery) useOrdered(n int) bool {
-	return n >= orderedMinRows && n*8 >= sr.width && bucketOrderOn.Load()
+	return n >= orderedMinRows && n*8 >= sr.width
 }
 
 // NewSparseRecovery creates a sketch that recovers any vector with at most
@@ -220,10 +204,51 @@ func bucketOf(h uint64, width int) int {
 
 // Update applies x[key] += delta, with the payload vector scaled by delta.
 // payload must have length payloadDim (nil allowed when payloadDim == 0).
+// It is the per-op write (F0 ladders, Storing.Insert/Delete) and the
+// reference the batch kernel is pinned to.
 func (sr *SparseRecovery) Update(key uint64, payload []int64, delta int64) {
 	if delta == 0 {
 		return
 	}
+	sr.updateScaled(key, payload, delta, delta)
+}
+
+// UpdateScaledN applies a batch of pre-aggregated rows: x[keys[t]] +=
+// deltas[t], with the payload row scaled[t*payloadDim:(t+1)*payloadDim]
+// added verbatim (scaled may be nil when payloadDim == 0). Each row is a
+// delta-scaled payload sum (Σ dᵢ·payloadᵢ over the ops coalesced into it)
+// with the matching count sum (Σ dᵢ), as produced by the ingest
+// key-coalescer. A zero-delta row is still applied — its field terms
+// vanish (ToField(0)·x = 0) but its payload sum may not, exactly as the
+// constituent per-op updates would have written it. Linearity over GF(p)
+// and int64 makes the result bit-identical to applying the un-coalesced
+// updates one at a time through Update: ToField distributes over signed
+// sums mod p, and every slab word is an exact commutative sum.
+//
+// The same exactness frees the write schedule: large batches go through
+// the bucket-ordered kernel (updateOrderedN), whose slab writes run
+// row-major in bucket-sorted order instead of scattering, and small
+// batches through the 4-lane scatter path (updateLanesN); useOrdered's
+// size rule picks between them.
+func (sr *SparseRecovery) UpdateScaledN(keys []uint64, scaled []int64, deltas []int64) {
+	n := len(keys)
+	if len(deltas) != n {
+		panic("sketch: UpdateScaledN column length mismatch")
+	}
+	if sr.payloadDim > 0 && len(scaled) != n*sr.payloadDim {
+		panic("sketch: UpdateScaledN payload column length mismatch")
+	}
+	if sr.useOrdered(n) {
+		sr.updateOrderedN(keys, scaled, deltas)
+		return
+	}
+	sr.updateLanesN(keys, scaled, deltas)
+}
+
+// updateScaled is the scalar write rule shared by Update and the batch
+// kernels' ragged tail: x[key] += delta with payload words added times
+// mul — delta for Update's raw payload, 1 for a pre-aggregated row.
+func (sr *SparseRecovery) updateScaled(key uint64, payload []int64, delta, mul int64) {
 	key = hashing.Reduce64(key)
 	df := hashing.ToField(delta)
 	// delta·key and delta·fp(key) are row-independent; compute them once.
@@ -239,46 +264,18 @@ func (sr *SparseRecovery) Update(key uint64, payload []int64, delta int64) {
 		b[1] = int64(hashing.AddMod(uint64(b[1]), dk))
 		b[2] = int64(hashing.AddMod(uint64(b[2]), dfp))
 		for j := 0; j < sr.payloadDim; j++ {
-			b[3+j] += delta * payload[j]
+			b[3+j] += mul * payload[j]
 		}
 	}
 }
 
-// UpdateN applies a column of updates: x[keys[t]] += deltas[t] with the
-// payload row payload[t*payloadDim:(t+1)*payloadDim] scaled by deltas[t]
-// (payload may be nil when payloadDim == 0). Bucket state is a sum of
-// exact field and integer terms, so the result is bit-identical to
-// applying the updates one at a time in any order — which frees the
-// implementation to pick its write schedule: large batches go through
-// the bucket-ordered kernel (updateOrderedN), whose slab writes run
-// row-major in bucket-sorted order instead of scattering, and small
-// batches through the 4-lane scatter path (updateLanesN).
-func (sr *SparseRecovery) UpdateN(keys []uint64, payload []int64, deltas []int64) {
-	n := len(keys)
-	if len(deltas) != n {
-		panic("sketch: UpdateN column length mismatch")
-	}
-	if sr.payloadDim > 0 && len(payload) != n*sr.payloadDim {
-		panic("sketch: UpdateN payload column length mismatch")
-	}
-	if sr.useOrdered(n) {
-		sr.updateOrderedN(keys, payload, deltas, false)
-		return
-	}
-	sr.updateLanesN(keys, payload, deltas, false)
-}
-
-// updateLanesN is the 4-lane scatter path of UpdateN and UpdateScaledN:
-// full blocks batch the fingerprint and row-hash evaluations through the
-// interleaved Horner kernels, breaking the per-key multiply dependency
-// chain; the ragged tail runs the scalar Update/updateScaled. Slab
-// writes land wherever the row hashes point — fine for small batches,
-// cache-hostile for large ones (see updateOrderedN).
-//
-// scaled selects the UpdateScaledN write rule: payload words added
-// verbatim and zero-delta rows applied; otherwise payload is scaled by
-// delta and zero-delta rows are skipped, matching Update.
-func (sr *SparseRecovery) updateLanesN(keys []uint64, payload []int64, deltas []int64, scaled bool) {
+// updateLanesN is the 4-lane scatter path of UpdateScaledN: full blocks
+// batch the fingerprint and row-hash evaluations through the interleaved
+// Horner kernels, breaking the per-key multiply dependency chain; the
+// ragged tail runs the scalar updateScaled. Slab writes land wherever the
+// row hashes point — fine for small batches, cache-hostile for large
+// ones (see updateOrderedN).
+func (sr *SparseRecovery) updateLanesN(keys []uint64, scaled []int64, deltas []int64) {
 	n := len(keys)
 	pd := sr.payloadDim
 	t := 0
@@ -305,25 +302,15 @@ func (sr *SparseRecovery) updateLanesN(keys []uint64, payload []int64, deltas []
 			// Sequential writes: two lanes may land in the same bucket,
 			// and exact commutative sums make any write order identical.
 			for l := 0; l < 4; l++ {
-				delta := deltas[t+l]
-				if delta == 0 && !scaled {
-					continue
-				}
 				if sr.track {
 					sr.markDirty(r*sr.width + lc[l])
 				}
 				b := sr.slab[(r*sr.width+lc[l])*sr.stride:][:sr.stride:sr.stride]
-				b[0] += delta
+				b[0] += deltas[t+l]
 				b[1] = int64(hashing.AddMod(uint64(b[1]), ldk[l]))
 				b[2] = int64(hashing.AddMod(uint64(b[2]), ldfp[l]))
-				if scaled {
-					for j := 0; j < pd; j++ {
-						b[3+j] += payload[(t+l)*pd+j]
-					}
-				} else {
-					for j := 0; j < pd; j++ {
-						b[3+j] += delta * payload[(t+l)*pd+j]
-					}
+				for j := 0; j < pd; j++ {
+					b[3+j] += scaled[(t+l)*pd+j]
 				}
 			}
 		}
@@ -331,61 +318,9 @@ func (sr *SparseRecovery) updateLanesN(keys []uint64, payload []int64, deltas []
 	for ; t < n; t++ {
 		var row []int64
 		if pd > 0 {
-			row = payload[t*pd : (t+1)*pd]
+			row = scaled[t*pd : (t+1)*pd]
 		}
-		if scaled {
-			sr.updateScaled(keys[t], row, deltas[t])
-		} else {
-			sr.Update(keys[t], row, deltas[t])
-		}
-	}
-}
-
-// UpdateScaledN is UpdateN for pre-aggregated input: payload rows are
-// already delta-scaled sums (Σ dᵢ·payloadᵢ over the ops coalesced into
-// the row) and deltas are the matching count sums (Σ dᵢ), as produced by
-// the ingest key-coalescer. The slab writes add the payload words as
-// given instead of multiplying by delta, and a zero-delta row is still
-// applied — its field terms vanish (ToField(0)·x = 0) but its payload
-// sum may not, exactly as the constituent per-op updates would have
-// written it. Linearity over GF(p) and int64 makes the result
-// bit-identical to applying the un-coalesced updates one at a time:
-// ToField distributes over signed sums mod p, and every slab word is an
-// exact commutative sum.
-func (sr *SparseRecovery) UpdateScaledN(keys []uint64, scaled []int64, deltas []int64) {
-	n := len(keys)
-	if len(deltas) != n {
-		panic("sketch: UpdateScaledN column length mismatch")
-	}
-	if sr.payloadDim > 0 && len(scaled) != n*sr.payloadDim {
-		panic("sketch: UpdateScaledN payload column length mismatch")
-	}
-	if sr.useOrdered(n) {
-		sr.updateOrderedN(keys, scaled, deltas, true)
-		return
-	}
-	sr.updateLanesN(keys, scaled, deltas, true)
-}
-
-// updateScaled is the scalar form of UpdateScaledN: one pre-aggregated
-// row, payload added verbatim.
-func (sr *SparseRecovery) updateScaled(key uint64, scaled []int64, delta int64) {
-	key = hashing.Reduce64(key)
-	df := hashing.ToField(delta)
-	dk := hashing.MulMod(df, key)
-	dfp := hashing.MulMod(df, sr.fpHash.Eval(key))
-	for r := 0; r < sr.rows; r++ {
-		c := bucketOf(sr.rowHash[r].Eval(key), sr.width)
-		if sr.track {
-			sr.markDirty(r*sr.width + c)
-		}
-		b := sr.slab[(r*sr.width+c)*sr.stride:][:sr.stride:sr.stride]
-		b[0] += delta
-		b[1] = int64(hashing.AddMod(uint64(b[1]), dk))
-		b[2] = int64(hashing.AddMod(uint64(b[2]), dfp))
-		for j := 0; j < sr.payloadDim; j++ {
-			b[3+j] += scaled[j]
-		}
+		sr.updateScaled(keys[t], row, deltas[t], 1)
 	}
 }
 
@@ -399,11 +334,7 @@ func (sr *SparseRecovery) updateScaled(key uint64, scaled []int64, delta int64) 
 // still hot. Write order is irrelevant to the exact commutative sums in
 // the slab, so the result is bit-identical to the scatter path
 // (TestUpdateNOrderedMatchesScatter, FuzzCoalescedIngestMatchesSerial).
-//
-// scaled selects the UpdateScaledN write rule: payload words added
-// verbatim and zero-delta rows applied; otherwise payload is scaled by
-// delta and zero-delta rows are skipped, matching Update.
-func (sr *SparseRecovery) updateOrderedN(keys []uint64, payload []int64, deltas []int64, scaled bool) {
+func (sr *SparseRecovery) updateOrderedN(keys []uint64, scaled []int64, deltas []int64) {
 	n := len(keys)
 	s := sr.scratch(n)
 	rk, fe := s.rk[:n], s.fe[:n]
@@ -444,30 +375,17 @@ func (sr *SparseRecovery) updateOrderedN(keys []uint64, payload []int64, deltas 
 		lastDirty := int32(-1)
 		for _, t32 := range perm {
 			t := int(t32)
-			delta := deltas[t]
-			if !scaled && delta == 0 {
-				continue
-			}
 			// perm is bucket-ascending, so duplicate keys journal once.
 			if sr.track && bkt[t] != lastDirty {
 				lastDirty = bkt[t]
 				sr.markDirty(r*width + int(lastDirty))
 			}
 			b := row[int(bkt[t])*stride:][:stride:stride]
-			b[0] += delta
+			b[0] += deltas[t]
 			b[1] = int64(hashing.AddMod(uint64(b[1]), dk[t]))
 			b[2] = int64(hashing.AddMod(uint64(b[2]), dfp[t]))
-			if pd > 0 {
-				src := payload[t*pd : (t+1)*pd]
-				if scaled {
-					for j := 0; j < pd; j++ {
-						b[3+j] += src[j]
-					}
-				} else {
-					for j := 0; j < pd; j++ {
-						b[3+j] += delta * src[j]
-					}
-				}
+			for j, v := range scaled[t*pd : (t+1)*pd] {
+				b[3+j] += v
 			}
 		}
 	}
@@ -513,14 +431,6 @@ func (sr *SparseRecovery) CloneEmpty() *SparseRecovery {
 	return &cp
 }
 
-// Reset zeroes the bucket state in place, keeping the hash functions —
-// the memory-recycling analogue of CloneEmpty. Any dirty journal dies
-// with the state it was tracking.
-func (sr *SparseRecovery) Reset() {
-	clear(sr.slab)
-	sr.StopDirtyTracking()
-}
-
 // SnapshotSlab copies the current bucket slab into dst (grown if
 // needed) and returns it. A snapshot is the base of a later
 // DecodeDeltaWith: by linearity, cur − snapshot sketches exactly the
@@ -554,82 +464,6 @@ func (sr *SparseRecovery) RefreshSnapshot(dst []int64) []int64 {
 	dst = sr.SnapshotSlab(dst)
 	sr.StartDirtyTracking()
 	return dst
-}
-
-// clone deep-copies the bucket state (hash functions shared).
-func (sr *SparseRecovery) clone() *SparseRecovery {
-	cp := sr.CloneEmpty()
-	copy(cp.slab, sr.slab)
-	return cp
-}
-
-// pureAt checks whether the bucket slab words b hold exactly one key and,
-// if so, extracts it. Every verification — fingerprint, then payload
-// divisibility — runs before the payload slice is materialized, so an
-// impure candidate costs no allocation (the worklist decoder's pureKeyAt
-// keeps the same ordering).
-func (sr *SparseRecovery) pureAt(b []int64) (Item, bool) {
-	count := b[0]
-	if count == 0 {
-		return Item{}, false
-	}
-	cf := hashing.ToField(count)
-	if cf == 0 {
-		return Item{}, false
-	}
-	key := hashing.MulMod(uint64(b[1]), hashing.InvMod(cf))
-	if hashing.MulMod(cf, sr.fpHash.Eval(key)) != uint64(b[2]) {
-		return Item{}, false
-	}
-	for j := 0; j < sr.payloadDim; j++ {
-		if b[3+j]%count != 0 {
-			return Item{}, false
-		}
-	}
-	var payload []int64
-	if sr.payloadDim > 0 {
-		payload = make([]int64, sr.payloadDim)
-		for j := range payload {
-			payload[j] = b[3+j] / count
-		}
-	}
-	return Item{Key: key, Count: count, Payload: payload}, true
-}
-
-// DecodeReference is the retained scalar reference decoder: full-slab
-// rescan rounds over a cloned working copy, one purity probe per bucket
-// per round. It is the equivalence baseline the worklist decoder
-// (decode.go) is pinned against — bit-identical items, ok-flag and FAIL
-// cases — and is exercised by the check-hash suite and the decode bench;
-// production paths use Decode.
-func (sr *SparseRecovery) DecodeReference() (items []Item, ok bool) {
-	w := sr.clone()
-	for {
-		progress := false
-		for r := 0; r < w.rows && len(items) <= w.s; r++ {
-			for c := 0; c < w.width; c++ {
-				it, pure := w.pureAt(w.slab[(r*w.width+c)*w.stride:][:w.stride])
-				if !pure {
-					continue
-				}
-				items = append(items, it)
-				w.Update(it.Key, it.Payload, -it.Count)
-				progress = true
-			}
-		}
-		if len(items) > w.s {
-			return nil, false
-		}
-		if !progress {
-			break
-		}
-	}
-	for i := 0; i < len(w.slab); i += w.stride {
-		if w.slab[i] != 0 || w.slab[i+1] != 0 {
-			return nil, false
-		}
-	}
-	return items, true
 }
 
 // Digest folds the full bucket state into one 64-bit value. Two sketches

@@ -195,7 +195,8 @@ func TestStoringBytesIndependentOfStreamLength(t *testing.T) {
 }
 
 func TestUpdateKeyedMatchesUpdate(t *testing.T) {
-	// UpdateKeyed with caller-precomputed keys must leave bit-identical
+	// One-row UpdateKeyedScaledN batches (a one-op Apply's write) with
+	// caller-precomputed keys, both sides enabled, must leave bit-identical
 	// state to the per-op Insert/Delete path — the contract the batched
 	// ingestion pipeline depends on.
 	g := buildGrid(t, 1<<8, 2, 61)
@@ -224,10 +225,13 @@ func TestUpdateKeyedMatchesUpdate(t *testing.T) {
 			perOp.Delete(p)
 		}
 		idx := g.CellIndex(p, 3)
-		keyed.UpdateKeyed(g.KeyOf(3, idx), idx, keyed.PointKey(p), p, delta)
+		keyed.UpdateKeyedScaledN(
+			[]uint64{g.KeyOf(3, idx)}, []int64{delta * idx[0], delta * idx[1]},
+			[]uint64{keyed.PointKey(p)}, []int64{delta * p[0], delta * p[1]},
+			[]int64{delta})
 	}
 	if perOp.Digest() != keyed.Digest() {
-		t.Fatal("UpdateKeyed state diverged from per-op Update")
+		t.Fatal("UpdateKeyedScaledN state diverged from per-op Insert/Delete")
 	}
 	if perOp.NetUpdates() != keyed.NetUpdates() {
 		t.Fatalf("net updates %d vs %d", perOp.NetUpdates(), keyed.NetUpdates())
@@ -430,11 +434,12 @@ func TestStoringCacheStats(t *testing.T) {
 }
 
 // TestStoringMergeDropCounter pins the obs counters behind CacheStats's
-// merge fields: with incremental decode on, a Merge over a live base
-// moves sketch_cache_merge_keeps_total and leaves the merge-drop counter
-// alone; with incremental decode off, it discards the cached decode and
-// moves sketch_cache_merge_drops_total exactly once — not on merges into
-// an undecoded receiver, and not on explicit DropCache calls.
+// merge fields: a Merge over a live base moves
+// sketch_cache_merge_keeps_total and leaves the merge-drop counter
+// alone; a Merge into a receiver whose last decode FAILed (so it holds
+// no base) discards the cached FAIL and moves
+// sketch_cache_merge_drops_total exactly once — not on merges into an
+// undecoded receiver, and not on explicit DropCache calls.
 func TestStoringMergeDropCounter(t *testing.T) {
 	obs.Enable()
 	defer obs.Disable()
@@ -456,7 +461,7 @@ func TestStoringMergeDropCounter(t *testing.T) {
 		t.Fatalf("merge into undecoded receiver moved the counter: %d -> %d", before, got)
 	}
 
-	// A live base with incremental decode on: kept, not dropped.
+	// A live base: kept, not dropped.
 	st.Result()
 	keepsBefore := keeps.Load()
 	fork2 := st.CloneEmpty()
@@ -472,20 +477,27 @@ func TestStoringMergeDropCounter(t *testing.T) {
 		t.Fatalf("CacheStats = %+v, want MergeKeeps 1, MergeDrops 0", s)
 	}
 
-	// Incremental decode off: the PR-2 behaviour — a live cached decode
-	// is discarded and counted as exactly one merge drop.
-	prev := SetIncremental(false)
-	defer SetIncremental(prev)
-	st.DropCache()
-	st.Result()
-	fork3 := st.CloneEmpty()
-	fork3.Insert(geo.Point{11, 11})
-	st.Merge(fork3)
-	if got := drops.Load(); got != before+1 {
-		t.Fatalf("merge over a cached decode (incremental off): counter %d -> %d, want +1", before, got)
+	// No base, reached as production reaches it: a decode loaded past α
+	// FAILs, and its cached FAIL verdict is discarded by the next real
+	// merge — exactly one merge drop.
+	full := NewStoring(rng, g, g.L, 4, 0, 0.01)
+	for i := 0; i < 64; i++ {
+		full.Insert(geo.Point{1 + rng.Int63n(1024), 1 + rng.Int63n(1024)})
 	}
-	if s := st.CacheStats(); s.MergeDrops != 1 {
-		t.Fatalf("CacheStats.MergeDrops = %d, want 1", s.MergeDrops)
+	if _, ok := full.Result(); ok {
+		t.Fatal("64 cells in an alpha=4 sketch must FAIL")
+	}
+	fork3 := full.CloneEmpty()
+	fork3.Insert(geo.Point{11, 11})
+	full.Merge(fork3)
+	if got := drops.Load(); got != before+1 {
+		t.Fatalf("merge over a cached FAIL: counter %d -> %d, want +1", before, got)
+	}
+	if s := full.CacheStats(); s.MergeDrops != 1 || s.MergeKeeps != 0 {
+		t.Fatalf("CacheStats = %+v, want MergeDrops 1, MergeKeeps 0", s)
+	}
+	if full.CacheFresh() {
+		t.Fatal("merge over a cached FAIL must leave no fresh cache")
 	}
 
 	// An explicit DropCache is a plain drop, never a merge drop.

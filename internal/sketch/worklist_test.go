@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 
+	"streambalance/internal/geo"
 	"streambalance/internal/hashing"
 )
 
@@ -164,10 +165,11 @@ func TestDecodeResultsOutliveArena(t *testing.T) {
 func TestPureAtNoAllocOnImpureCandidate(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	sr := NewSparseRecovery(rng, 4, 0.01, 2)
-	// Two colliding keys in every bucket they share: no bucket holding
-	// both is pure.
-	sr.Update(1, []int64{1, 2}, 1)
-	sr.Update(2, []int64{3, 4}, 1)
+	// Sixteen keys over 2s = 8 buckets per row: by pigeonhole some bucket
+	// holds two or more keys, and no bucket holding several is pure.
+	for k := uint64(1); k <= 16; k++ {
+		sr.Update(k, []int64{int64(k), 2 * int64(k)}, 1)
+	}
 	// Find an impure, non-empty bucket.
 	var impure []int64
 	for i := 0; i < len(sr.slab); i += sr.stride {
@@ -180,7 +182,7 @@ func TestPureAtNoAllocOnImpureCandidate(t *testing.T) {
 		}
 	}
 	if impure == nil {
-		t.Skip("no impure bucket in this layout")
+		t.Fatal("no impure bucket among 16 keys in 8 buckets per row")
 	}
 	if allocs := testing.AllocsPerRun(100, func() {
 		if _, ok := sr.pureAt(impure); ok {
@@ -198,14 +200,13 @@ func TestPureAtNoAllocOnImpureCandidate(t *testing.T) {
 	}
 }
 
-// TestUpdateNMatchesScalar pins the 4-lane batched sketch update to the
-// scalar path: same keys/payloads/deltas, bit-identical slab digests,
-// across ragged tails and zero deltas.
+// TestUpdateNMatchesScalar pins both 4-lane-batched sketch write kernels
+// to the scalar path: same keys/payloads/deltas, bit-identical slab
+// digests, across ragged tails and zero deltas.
 func TestUpdateNMatchesScalar(t *testing.T) {
 	for _, n := range []int{0, 1, 3, 4, 5, 8, 127} {
 		rng := rand.New(rand.NewSource(int64(n) + 1))
 		ref := NewSparseRecovery(rng, 16, 0.01, 2)
-		bat := ref.CloneEmpty()
 		keys := make([]uint64, n)
 		payload := make([]int64, 2*n)
 		deltas := make([]int64, n)
@@ -215,19 +216,23 @@ func TestUpdateNMatchesScalar(t *testing.T) {
 			payload[2*i+1] = rng.Int63n(100) - 50
 			deltas[i] = int64(rng.Intn(7) - 3) // includes zeros
 		}
-		for i := 0; i < n; i++ {
-			ref.Update(keys[i], payload[2*i:2*i+2], deltas[i])
-		}
-		bat.UpdateN(keys, payload, deltas)
-		if ref.Digest() != bat.Digest() {
-			t.Fatalf("n=%d: UpdateN digest %x != scalar %x", n, bat.Digest(), ref.Digest())
+		perOpUpdate(ref, keys, payload, deltas, 2)
+		scaled := scaleRows(payload, deltas, 2)
+		for _, k := range batchKernels {
+			bat := ref.CloneEmpty()
+			k.apply(bat, keys, scaled, deltas)
+			if ref.Digest() != bat.Digest() {
+				t.Fatalf("n=%d: %s digest %x != scalar %x", n, k.name, bat.Digest(), ref.Digest())
+			}
 		}
 	}
 }
 
 // TestStoringUpdateKeyedNMatchesScalar drives both a cell-recovery and
-// a point-recovery Storing through the columnar entry point and checks
-// digest equality with per-op UpdateKeyed.
+// a point-recovery Storing through the columnar entry point
+// (UpdateKeyedScaledN on a raw, pre-scaled batch, on both sides of the
+// ordered-layout size rule) and checks digest and net-count equality
+// with per-op Insert/Delete.
 func TestStoringUpdateKeyedNMatchesScalar(t *testing.T) {
 	g := buildGrid(t, 64, 2, 11)
 	mk := func(seed int64, alpha, beta int) (*Storing, *Storing) {
@@ -235,46 +240,51 @@ func TestStoringUpdateKeyedNMatchesScalar(t *testing.T) {
 		ref := NewStoring(rng, g, 2, alpha, beta, 0.01)
 		return ref, ref.CloneEmpty()
 	}
-	const n = 33
-	rng := rand.New(rand.NewSource(12))
-	cellKeys := make([]uint64, n)
-	cellIdx := make([]int64, n*g.Dim)
-	pointKeys := make([]uint64, n)
-	points := make([]int64, n*g.Dim)
-	deltas := make([]int64, n)
-	pts := make([][]int64, n)
-	idxs := make([][]int64, n)
-	for i := 0; i < n; i++ {
-		p := []int64{rng.Int63n(64), rng.Int63n(64)}
-		pts[i] = p
-		copy(points[i*g.Dim:], p)
-		idx := g.CellIndex(p, 2)
-		idxs[i] = idx
-		copy(cellIdx[i*g.Dim:], idx)
-		cellKeys[i] = g.KeyOf(2, idx)
-		if i%5 == 0 {
-			deltas[i] = -1
-		} else {
-			deltas[i] = 1
+	for _, n := range []int{33, 257} {
+		rng := rand.New(rand.NewSource(12))
+		cellKeys := make([]uint64, n)
+		cellScaled := make([]int64, n*g.Dim)
+		pointKeys := make([]uint64, n)
+		pointScaled := make([]int64, n*g.Dim)
+		deltas := make([]int64, n)
+		pts := make([]geo.Point, n)
+		for i := 0; i < n; i++ {
+			pts[i] = geo.Point{rng.Int63n(64), rng.Int63n(64)}
+			if i%5 == 0 {
+				deltas[i] = -1
+			} else {
+				deltas[i] = 1
+			}
+			idx := g.CellIndex(pts[i], 2)
+			cellKeys[i] = g.KeyOf(2, idx)
+			for j := 0; j < g.Dim; j++ {
+				cellScaled[i*g.Dim+j] = deltas[i] * idx[j]
+				pointScaled[i*g.Dim+j] = deltas[i] * pts[i][j]
+			}
 		}
-	}
-	cellsRef, cellsBat := mk(1, 32, 0)
-	ptsRef, ptsBat := mk(2, 0, 32)
-	for i := 0; i < n; i++ {
-		pointKeys[i] = ptsRef.PointKey(pts[i])
-		cellsRef.UpdateKeyed(cellKeys[i], idxs[i], 0, pts[i], deltas[i])
-		ptsRef.UpdateKeyed(0, idxs[i], pointKeys[i], pts[i], deltas[i])
-	}
-	cellsBat.UpdateKeyedN(cellKeys, cellIdx, nil, nil, deltas)
-	ptsBat.UpdateKeyedN(nil, nil, pointKeys, points, deltas)
-	if cellsRef.Digest() != cellsBat.Digest() {
-		t.Fatal("cell-side UpdateKeyedN digest mismatch")
-	}
-	if ptsRef.Digest() != ptsBat.Digest() {
-		t.Fatal("point-side UpdateKeyedN digest mismatch")
-	}
-	if cellsRef.NetUpdates() != cellsBat.NetUpdates() {
-		t.Fatalf("netUpdates %d vs %d", cellsBat.NetUpdates(), cellsRef.NetUpdates())
+		cellsRef, cellsBat := mk(1, 32, 0)
+		ptsRef, ptsBat := mk(2, 0, 32)
+		for i := 0; i < n; i++ {
+			pointKeys[i] = ptsRef.PointKey(pts[i])
+			for _, st := range []*Storing{cellsRef, ptsRef} {
+				if deltas[i] > 0 {
+					st.Insert(pts[i])
+				} else {
+					st.Delete(pts[i])
+				}
+			}
+		}
+		cellsBat.UpdateKeyedScaledN(cellKeys, cellScaled, nil, nil, deltas)
+		ptsBat.UpdateKeyedScaledN(nil, nil, pointKeys, pointScaled, deltas)
+		if cellsRef.Digest() != cellsBat.Digest() {
+			t.Fatalf("n=%d: cell-side UpdateKeyedScaledN digest mismatch", n)
+		}
+		if ptsRef.Digest() != ptsBat.Digest() {
+			t.Fatalf("n=%d: point-side UpdateKeyedScaledN digest mismatch", n)
+		}
+		if cellsRef.NetUpdates() != cellsBat.NetUpdates() {
+			t.Fatalf("n=%d: netUpdates %d vs %d", n, cellsBat.NetUpdates(), cellsRef.NetUpdates())
+		}
 	}
 }
 

@@ -17,7 +17,7 @@ import (
 // same StateDigest, same Bytes, and the same Result including the FAIL
 // side (the tiny sketch budgets make over-full decodes common here, and
 // coalescing must FAIL exactly when the serial path does). The seed
-// corpus doubles as the check-coalesce regression suite (plain
+// corpus doubles as the check-kernels regression suite (plain
 // `go test -race -run FuzzCoalescedIngestMatchesSerial` replays it).
 func FuzzCoalescedIngestMatchesSerial(f *testing.F) {
 	f.Add(int64(1), uint16(200), uint8(30), uint8(64), uint8(0))

@@ -1,22 +1,13 @@
 package stream
 
-import (
-	"testing"
+import "testing"
 
-	"streambalance/internal/sketch"
-)
-
-// benchIncrementalExtract times ONLY the query in the alternating
-// small-batch-ingest / extract serving loop: the batch and the
-// between-query pre-warm run with the timer stopped, so the measured
+// BenchmarkExtractAutoIncremental times ONLY the query in the
+// alternating small-batch-ingest / extract serving loop: the batch and
+// the between-query pre-warm run with the timer stopped, so the measured
 // cost is one extraction over a slightly dirty, otherwise warm
-// ensemble — the case the differential decode targets. Toggling the
-// incremental knob A/Bs the splice path against full re-peels of the
-// dirty levels.
-func benchIncrementalExtract(b *testing.B, incremental bool) {
-	b.Helper()
-	prev := sketch.SetIncremental(incremental)
-	defer sketch.SetIncremental(prev)
+// ensemble — the case the differential decode targets.
+func BenchmarkExtractAutoIncremental(b *testing.B) {
 	a := benchExtractAuto(b)
 	ops := benchIngestOps(4096)
 	const batch = 16
@@ -39,7 +30,3 @@ func benchIncrementalExtract(b *testing.B, incremental bool) {
 		b.StartTimer()
 	}
 }
-
-func BenchmarkExtractAutoIncremental(b *testing.B) { benchIncrementalExtract(b, true) }
-
-func BenchmarkExtractAutoIncrementalOff(b *testing.B) { benchIncrementalExtract(b, false) }

@@ -16,9 +16,9 @@ import (
 //     scalar per-op path, which derives its own fingerprint key and cell
 //     keys instead of reading the batch columns.
 //   - oracleUncoalesced applies a batch's sampled rows to the sketches
-//     without key-coalescing — one UpdateKeyedN row per selected op —
-//     the reference the coalescer is pinned to, and the A/B partner of
-//     BenchmarkStreamIngest.
+//     without key-coalescing — one UpdateKeyedScaledN row per selected
+//     op, payload sign·p — the reference the coalescer is pinned to, and
+//     the A/B partner of BenchmarkStreamIngest.
 
 // oracleUpdate writes one op into every sketch of s whose sampler keeps
 // it, through Storing.Insert/Delete, and moves the net counter.
@@ -83,8 +83,8 @@ func oracleReplayAuto(a *Auto, ops []Op) {
 
 // oracleUncoalesced applies a built batch to every level of s without
 // key-coalescing: per level and substream, the sampled ops are gathered
-// into (key, payload, sign) columns, one row per op, and written with
-// UpdateKeyedN. The net counter is the caller's.
+// into (key, sign·payload, sign) columns, one row per op, and written
+// with UpdateKeyedScaledN. The net counter is the caller's.
 func oracleUncoalesced(s *Stream, b *batch) {
 	L, dim := s.g.L, s.g.Dim
 	n := len(b.ops)
@@ -100,7 +100,7 @@ func oracleUncoalesced(s *Stream, b *batch) {
 			}
 			keys = append(keys, b.cellKey[t*(L+1)+level])
 			for _, v := range b.baseIdx[t*dim : (t+1)*dim] {
-				payload = append(payload, v>>sh)
+				payload = append(payload, b.sign[t]*(v>>sh))
 			}
 			deltas = append(deltas, b.sign[t])
 		}
@@ -109,22 +109,24 @@ func oracleUncoalesced(s *Stream, b *batch) {
 		if i <= L-1 {
 			s.hSamp[i].SampleN(sel, b.fkey)
 			cells(i)
-			s.hStore[i].UpdateKeyedN(keys, payload, nil, nil, deltas)
+			s.hStore[i].UpdateKeyedScaledN(keys, payload, nil, nil, deltas)
 		}
 		s.hpSamp[i].SampleN(sel, b.fkey)
 		cells(i)
-		s.hpStore[i].UpdateKeyedN(keys, payload, nil, nil, deltas)
+		s.hpStore[i].UpdateKeyedScaledN(keys, payload, nil, nil, deltas)
 
 		s.hatSamp[i].SampleN(sel, b.fkey)
 		keys, payload, deltas = keys[:0], payload[:0], deltas[:0]
 		for t := 0; t < n; t++ {
 			if sel[t] {
 				keys = append(keys, b.fkey[t])
-				payload = append(payload, b.ops[t].P...)
+				for _, v := range b.ops[t].P {
+					payload = append(payload, b.sign[t]*v)
+				}
 				deltas = append(deltas, b.sign[t])
 			}
 		}
-		s.hatStore[i].UpdateKeyedN(nil, nil, keys, payload, deltas)
+		s.hatStore[i].UpdateKeyedScaledN(nil, nil, keys, payload, deltas)
 	}
 }
 
