@@ -39,15 +39,16 @@ check-dist:
 # differential (spliced) decode to the cold full peel bit-for-bit —
 # single-sketch success/FAIL transitions, the arena-aliasing guard, the
 # CacheBytes base accounting, fine-grained merge invalidation and the
-# alternating ingest/extract ensemble equivalence, and the guess-parallel
+# alternating ingest/extract ensemble equivalence, the guess-parallel
 # selection scan's bit-identity with ResultSerial (selected guess,
-# coreset, error text) at 2/4/8 workers — under -race, then replay the
-# FuzzIncrementalDecodeMatchesCold seed corpus. Runs in a couple of
-# minutes; CI runs it before the full suite so differential-decode and
-# selection-scan regressions fail fast.
+# coreset, error text) at 2/4/8 workers, and the ĥ assembly's
+# level-local part lookup against the PartOf filter — under -race, then
+# replay the FuzzIncrementalDecodeMatchesCold seed corpus. Runs in a
+# couple of minutes; CI runs it before the full suite so
+# differential-decode and selection-scan regressions fail fast.
 check-incr:
 	go vet ./internal/sketch ./internal/stream
-	go test -race -run 'Incremental|Spliced|MergeFineGrained|CacheBytesIncludesBase|StoringCacheStats|StoringMergeDrop|ExtractParallelMatchesSerial' ./internal/sketch ./internal/stream
+	go test -race -run 'Incremental|Spliced|MergeFineGrained|CacheBytesIncludesBase|StoringCacheStats|StoringMergeDrop|ExtractParallelMatchesSerial|AssemblePartAt' ./internal/sketch ./internal/stream
 	go test -race -run 'FuzzIncrementalDecodeMatchesCold' ./internal/sketch
 
 # Fast telemetry pass: vet the obs package and the bench/diff CLI, run
@@ -75,13 +76,16 @@ check-obs:
 #   - the worklist peeling decoder to the round-based reference decoder,
 #   - the ingest key coalescer (Apply against the per-op and uncoalesced
 #     oracles of internal/stream/oracle_test.go),
+#   - the shared rate-1 sketches: one write per batch for every unit the
+#     guess instances share, and concurrent guess-worker decodes of them
+#     matching ResultSerial,
 # replaying the FuzzEvalLanesMatchScalar, FuzzDecodeWorklistMatchesReference
 # and FuzzCoalescedIngestMatchesSerial seed corpora. Runs in a couple of
 # minutes; CI runs it before the full suite so hot-path kernel and
 # ingest-write-path regressions fail fast.
 check-kernels:
 	go vet ./internal/hashing ./internal/sketch ./internal/grid ./internal/stream
-	go test -race -run 'MatchesScalar|MatchScalar|MatchesReference|Worklist|InvCountField|DecodeArena|DecodeResults|PureAt|LaneKernels|Coalesce|Scaled|Ordered|CellIndexN|DuplicateHeavy|ReusedScratch|UpdateKeyed' ./internal/hashing ./internal/sketch ./internal/grid ./internal/stream
+	go test -race -run 'MatchesScalar|MatchScalar|MatchesReference|Worklist|InvCountField|DecodeArena|DecodeResults|PureAt|LaneKernels|Coalesce|Scaled|Ordered|CellIndexN|DuplicateHeavy|ReusedScratch|UpdateKeyed|SharedSketchesWrittenOnce' ./internal/hashing ./internal/sketch ./internal/grid ./internal/stream
 
 # Serving-loop benchmark smoke pass: vet and test the perfbench module
 # (its own go.mod, so the root go test ./... does not reach it), then run

@@ -331,23 +331,28 @@ func benchIngest(scale float64, seed int64, procs []int) error {
 		return a
 	}
 
-	serial := newAuto()
-	t0 := time.Now()
-	for _, p := range ps {
-		serial.Insert(p)
-	}
-	perOpSec := float64(n) / time.Since(t0).Seconds()
-	refDigest := serial.StateDigest()
-	guesses := len(serial.Guesses())
-	serial = nil
-
 	ops := make([]streambalance.Op, n)
 	for i, p := range ps {
 		ops[i] = streambalance.Op{P: p}
 	}
+	// One-op and batched ingest are each timed as the median of
+	// ingestTrials runs after an untimed warm-up: the first run of a
+	// section pays page faults and first-use allocations that no later
+	// run sees. Each run builds its own ensemble and drops it, so trials
+	// never hold two at once, and sketch state is linear, so every run
+	// must land on the one-op reference digest the warm-up records.
+	const ingestTrials = 3
+	var guesses int
+	perOp := func() (float64, uint64) {
+		a := newAuto()
+		guesses = len(a.Guesses())
+		t0 := time.Now()
+		for _, p := range ps {
+			a.Insert(p)
+		}
+		return float64(n) / time.Since(t0).Seconds(), a.StateDigest()
+	}
 	const batchSize = 4096
-	// applyBatched returns ops/sec and the final state digest; the
-	// ensemble itself is dropped so trials never hold two at once.
 	applyBatched := func(ops []streambalance.Op) (float64, uint64) {
 		a := newAuto()
 		t0 := time.Now()
@@ -356,11 +361,31 @@ func benchIngest(scale float64, seed int64, procs []int) error {
 		}
 		return float64(len(ops)) / time.Since(t0).Seconds(), a.StateDigest()
 	}
-
-	// Untimed warm-up: the first batched run pays page faults and
-	// first-use allocations that no later run sees.
-	applyBatched(ops)
-	batchedSec, _ := applyBatched(ops)
+	batched := func() (float64, uint64) { return applyBatched(ops) }
+	_, refDigest := perOp()
+	// median returns the median rate of ingestTrials runs of trial and
+	// their max/min spread.
+	median := func(label string, trial func() (float64, uint64)) (med, spread float64, err error) {
+		rates := make([]float64, ingestTrials)
+		for i := range rates {
+			sec, digest := trial()
+			if digest != refDigest {
+				return 0, 0, fmt.Errorf("%s: ingest diverged from the one-op reference", label)
+			}
+			rates[i] = sec
+		}
+		sort.Float64s(rates)
+		return rates[ingestTrials/2], rates[ingestTrials-1] / rates[0], nil
+	}
+	perOpSec, perOpSpread, err := median("one-op", perOp)
+	if err != nil {
+		return err
+	}
+	batched()
+	batchedSec, batchedSpread, err := median("batched", batched)
+	if err != nil {
+		return err
+	}
 
 	// Duplicate-heavy variant: every op replayed 8× back to back — the
 	// coarse-level shape where coalescing collapses whole batches.
@@ -373,30 +398,22 @@ func benchIngest(scale float64, seed int64, procs []int) error {
 	dup8Sec, _ := applyBatched(dup8)
 	dup8 = nil
 
-	// Multicore scaling of the batched pipeline's (guess × level-range)
-	// worker pool: each cell is the median of ingestTrials runs, with the
-	// max/min spread recorded beside it (informational: the key carries
-	// no per_sec, so the diff gate reports but never gates it). Sketch
-	// state is linear, so every run must land on the one-op reference
-	// digest.
-	const ingestTrials = 3
+	// Multicore scaling of the batched pipeline's worker pool over the
+	// distinct sketch units: each cell is the median of ingestTrials
+	// runs, with the max/min spread recorded beside it (informational:
+	// the key carries no per_sec, so the diff gate reports but never
+	// gates it).
 	origProcs := runtime.GOMAXPROCS(0)
 	byProcs := map[string]any{}
 	spread := map[string]any{}
 	var byProcsSec, byProcsSpread []float64
 	for _, p := range procs {
 		runtime.GOMAXPROCS(p)
-		trials := make([]float64, ingestTrials)
-		for i := range trials {
-			sec, digest := applyBatched(ops)
-			if digest != refDigest {
-				runtime.GOMAXPROCS(origProcs)
-				return fmt.Errorf("procs=%d: batched ingest diverged from the one-op reference", p)
-			}
-			trials[i] = sec
+		med, sp, err := median(fmt.Sprintf("procs=%d", p), batched)
+		if err != nil {
+			runtime.GOMAXPROCS(origProcs)
+			return err
 		}
-		sort.Float64s(trials)
-		med, sp := trials[ingestTrials/2], trials[ingestTrials-1]/trials[0]
 		byProcs[fmt.Sprintf("%d", p)] = med
 		spread[fmt.Sprintf("%d", p)] = sp
 		byProcsSec = append(byProcsSec, med)
@@ -427,7 +444,9 @@ func benchIngest(scale float64, seed int64, procs []int) error {
 		"gomaxprocs":                   runtime.GOMAXPROCS(0),
 		"seed":                         seed,
 		"ops_per_sec_per_op":           perOpSec,
+		"per_op_spread":                perOpSpread,
 		"ops_per_sec_batched":          batchedSec,
+		"batched_spread":               batchedSpread,
 		"ops_per_sec_batched_by_procs": byProcs,
 		"batched_by_procs_spread":      spread,
 		"ops_per_sec_dup8":             dup8Sec,
@@ -436,8 +455,9 @@ func benchIngest(scale float64, seed int64, procs []int) error {
 		"sketch_updates_per_sec":       sketchSec,
 	}
 	fmt.Printf("stream ingest  (n=%d ops, %d guesses, GOMAXPROCS=%d, NumCPU=%d)\n", n, guesses, runtime.GOMAXPROCS(0), runtime.NumCPU())
-	fmt.Printf("  one-op Apply      : %12.0f ops/sec\n", perOpSec)
-	fmt.Printf("  batched           : %12.0f ops/sec  (%.2fx)\n", batchedSec, batchedSec/perOpSec)
+	fmt.Printf("  one-op Apply      : %12.0f ops/sec  (median of %d, max/min %.2f)\n", perOpSec, ingestTrials, perOpSpread)
+	fmt.Printf("  batched           : %12.0f ops/sec  (%.2fx; median of %d, max/min %.2f)\n",
+		batchedSec, batchedSec/perOpSec, ingestTrials, batchedSpread)
 	for i, p := range procs {
 		fmt.Printf("  batched, procs=%-3d: %12.0f ops/sec  (%.2fx over procs=%d; median of %d, max/min %.2f)\n",
 			p, byProcsSec[i], byProcsSec[i]/byProcsSec[0], procs[0], ingestTrials, byProcsSpread[i])

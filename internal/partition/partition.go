@@ -257,6 +257,31 @@ func (p *Partition) PartOf(q geo.Point) (PartID, bool) {
 	return PartID{}, false // unreachable
 }
 
+// PartAt is the level-local form of PartOf: it reports whether q's part
+// lies at the given level, and returns it if so. Heavy sets are closed
+// under ancestors — BuildLazy marks a cell heavy only under a heavy
+// parent — so q's part is at level i exactly when q's level-(i−1) cell
+// is heavy and its level-i cell is not (or i = L). Two cell keys decide
+// it, where PartOf walks every level from the root; callers that
+// already know the level to test (the ĥ assembly of one level's
+// recovered points) skip the walk.
+func (p *Partition) PartAt(q geo.Point, level int) (PartID, bool) {
+	g := p.Grid
+	var buf [grid.StackDim]int64
+	idx := buf[:0]
+	if g.Dim > grid.StackDim {
+		idx = make([]int64, 0, g.Dim)
+	}
+	parent := g.KeyOf(level-1, g.CellIndexInto(idx, q, level-1))
+	if !p.heavy[level][parent] {
+		return PartID{}, false
+	}
+	if level < g.L && p.heavy[level+1][g.KeyOf(level, g.CellIndexInto(idx, q, level))] {
+		return PartID{}, false
+	}
+	return PartID{Level: level, Parent: parent}, true
+}
+
 // LevelCount returns the number of parts at each level (diagnostics).
 func (p *Partition) LevelCount() []int {
 	out := make([]int, p.Grid.L+1)

@@ -7,6 +7,7 @@ import (
 
 	"streambalance/internal/geo"
 	"streambalance/internal/grid"
+	"streambalance/internal/workload"
 )
 
 func setup(t *testing.T, delta int64, dim int, seed int64) *grid.Grid {
@@ -290,6 +291,48 @@ func TestPartOfMatchesReference(t *testing.T) {
 	}
 }
 
+// TestPartAtMatchesPartOf: the level-local lookup agrees with the
+// root walk at every level, on mixture and uniform points over the E1
+// geometry (Δ = 2^13, d = 2, a skewed k = 4 mixture with 5% noise) and
+// on a d > grid.StackDim grid, at guesses from far below to far above
+// OPT — including ones that leave points uncovered.
+func TestPartAtMatchesPartOf(t *testing.T) {
+	for _, dim := range []int{2, grid.StackDim + 1} {
+		const delta = 1 << 13
+		rng := rand.New(rand.NewSource(int64(40 + dim)))
+		g := setup(t, delta, dim, int64(41+dim))
+		m := workload.Mixture{N: 2000, D: dim, Delta: delta, K: 4, Spread: float64(delta) / 270, Skew: 2, NoiseFrac: 0.05}
+		ps, centers := m.Generate(rng)
+		queries := append(geo.PointSet(nil), ps[:500]...)
+		queries = append(queries, workload.UniformBox(rng, 500, dim, delta)...)
+		var opt float64 // cost at the true centers, an OPT upper bound
+		for _, q := range ps {
+			d, _ := geo.DistToSet(q, centers)
+			opt += geo.PowR(d, 2)
+		}
+		for _, o := range []float64{opt / 1e6, opt / 1e3, opt / 4, opt, opt * 1e3} {
+			p := Build(Input{Grid: g, R: 2, O: o, Counts: ExactCounts(g, ps)})
+			covered := 0
+			for _, q := range queries {
+				want, wantOK := p.PartOf(q)
+				if wantOK {
+					covered++
+				}
+				for level := 0; level <= g.L; level++ {
+					id, ok := p.PartAt(q, level)
+					if ok != (wantOK && want.Level == level) || (ok && id != want) {
+						t.Fatalf("d=%d o=%g point %v level %d: PartAt %+v/%v, PartOf %+v/%v",
+							dim, o, q, level, id, ok, want, wantOK)
+					}
+				}
+			}
+			if dim == 2 && o == opt/4 && covered != len(queries) {
+				t.Fatalf("o=OPT/4 left %d of %d points uncovered", len(queries)-covered, len(queries))
+			}
+		}
+	}
+}
+
 // TestPartOfNoAlloc pins PartOf — run once per recovered ĥ point on
 // every extraction — at zero allocations.
 func TestPartOfNoAlloc(t *testing.T) {
@@ -299,12 +342,16 @@ func TestPartOfNoAlloc(t *testing.T) {
 	p := Build(Input{Grid: g, R: 2, O: optUpper(ps, 2) / 4, Counts: ExactCounts(g, ps)})
 	if allocs := testing.AllocsPerRun(20, func() {
 		for _, q := range ps {
-			if _, ok := p.PartOf(q); !ok {
+			id, ok := p.PartOf(q)
+			if !ok {
 				t.Fatal("uncovered point")
+			}
+			if _, ok := p.PartAt(q, id.Level); !ok {
+				t.Fatal("PartAt misses the PartOf level")
 			}
 		}
 	}); allocs != 0 {
-		t.Fatalf("PartOf allocates: %v allocs per %d calls", allocs, len(ps))
+		t.Fatalf("PartOf/PartAt allocate: %v allocs per %d calls", allocs, len(ps))
 	}
 }
 

@@ -30,13 +30,16 @@ type Auto struct {
 	// All guess instances share one grid (hence one random shift and one
 	// cell-key fingerprint) and one sampling/point fingerprint, so the
 	// ingestion pipeline computes each op's key column once for the whole
-	// ensemble. Each instance keeps private samplers and sketch hash
-	// functions; the per-instance guarantees of Theorem 4.5 are marginal
-	// over those, so sharing the grid only correlates failures across
-	// guesses — it never changes any single instance's distribution.
-	g  *grid.Grid
-	fp *hashing.Fingerprint
-	b  *batch // reusable columnar buffer for Apply (not goroutine-safe)
+	// ensemble. Each instance keeps private samplers and sub-rate-1
+	// sketches; its rate-1 sketches are the ensemble's shared ones
+	// (rate1). The per-instance guarantees of Theorem 4.5 are marginal
+	// over the hash functions, so sharing the grid and the rate-1
+	// sketches only correlates failures across guesses — it never
+	// changes any single instance's distribution (DESIGN.md §1).
+	g     *grid.Grid
+	fp    *hashing.Fingerprint
+	units units  // every distinct sketch of the ensemble, once
+	b     *batch // reusable columnar buffer for Apply (not goroutine-safe)
 
 	reservoir *Reservoir // OPT-estimate sample for guess selection (insert-only)
 	costBound *CostBound // deletion-proof cell-counting bound ([HSYZ18]-style)
@@ -70,17 +73,23 @@ func NewAuto(cfg Config, oFactor float64) (*Auto, error) {
 		params:    cfg.Params,
 		delta:     cfg.Delta,
 	}
+	// The shared rate-1 sketches draw from one ensemble-level seed.
+	r1 := newRate1(rand.New(rand.NewSource(cfg.Params.Seed^0x1a7e)), a.g.L)
+	var all units
 	for o, i := 1.0, 0; o <= upper; o, i = o*oFactor, i+1 {
 		c := cfg
 		c.O = o
 		// Decorrelate instance samplers and sketches while keeping the
 		// whole ensemble reproducible from one seed.
 		c.Params.Seed = cfg.Params.Seed + int64(i)*1_000_003
-		st := newShared(c, a.g, a.fp, rand.New(rand.NewSource(c.Params.Seed)))
+		st := newShared(c, a.g, a.fp, rand.New(rand.NewSource(c.Params.Seed)), r1)
 		a.streams = append(a.streams, st)
 		a.guesses = append(a.guesses, o)
+		all = append(all, st.slots()...)
 	}
+	a.units = all.distinct()
 	obs.G("stream_guess_instances").SetInt(int64(len(a.streams)))
+	mSharedSketches.SetInt(int64(len(all) - len(a.units)))
 	return a, nil
 }
 
@@ -95,10 +104,11 @@ func (a *Auto) Delete(p geo.Point) { a.Apply([]Op{{P: p, Delete: true}}) }
 
 // Apply feeds a batch of updates to every guess instance through the
 // shared-key ingestion pipeline (ingest.go): the per-op key columns are
-// computed once — not once per guess — and the sketch work is sharded
-// over (guess × level-range) units across a worker pool sized to the
-// machine. Linearity of all sketch state makes the result bit-identical
-// to writing the ops into every sketch one at a time.
+// computed once — not once per guess — and each distinct sketch of the
+// ensemble is one unit of work for a worker pool sized to the machine,
+// so a rate-1 sketch shared by many guesses is written once. Linearity
+// of all sketch state makes the result bit-identical to writing the ops
+// into every sketch one at a time.
 //
 // The batch is built — which validates every point's dimension — before
 // any state changes, so a malformed batch panics with the selectors and
@@ -123,39 +133,20 @@ func (a *Auto) Apply(ops []Op) {
 	}
 	net := netCount(ops)
 	a.n += net
-	// Chunk each instance's L+1 levels into a few shards so the pool can
-	// balance load even when the instance count is near the core count.
-	chunk := (a.g.L + 4) / 4
-	if chunk < 1 {
-		chunk = 1
-	}
-	shards := make([]shard, 0, len(a.streams)*4)
 	for _, s := range a.streams {
 		s.n += net
-		shards = levelShards(shards, s, chunk)
 	}
-	applyShards(a.b, shards)
+	applyShards(a.b, a.g, a.units)
 }
 
-// StateDigest folds every guess instance's sketch state into one 64-bit
-// value (see Stream.StateDigest).
-func (a *Auto) StateDigest() uint64 {
-	d := hashing.Mix64(uint64(a.n))
-	for _, s := range a.streams {
-		d = hashing.Mix64(d ^ s.StateDigest())
-	}
-	return d
-}
+// StateDigest folds the sketch state of every distinct sketch of the
+// ensemble into one 64-bit value (see Stream.StateDigest).
+func (a *Auto) StateDigest() uint64 { return a.units.digest(uint64(a.n)) }
 
-// Bytes sums the sketch state over all guess instances plus the guess
-// selectors — the full space cost of the enumeration.
-func (a *Auto) Bytes() int64 {
-	b := a.costBound.Bytes()
-	for _, s := range a.streams {
-		b += s.Bytes()
-	}
-	return b
-}
+// Bytes sums the sketch state of every distinct sketch of the ensemble
+// plus the guess selectors — the full space cost of the enumeration. A
+// rate-1 sketch shared by many guesses counts once.
+func (a *Auto) Bytes() int64 { return a.costBound.Bytes() + a.units.bytes() }
 
 // ErrNoGuessSucceeded is returned when every guess instance FAILed or
 // produced a weight-inconsistent coreset.

@@ -70,9 +70,9 @@ func TestCoalescedApplyMatchesUncoalesced(t *testing.T) {
 }
 
 // TestCoalescedAutoApplyMatchesUncoalesced: same contract through the
-// guess-enumerating Auto front-end, whose Apply shards (guess ×
-// level-range) units across the worker pool — under -race this also
-// checks the pooled applyScratch/coalescer never crosses goroutines.
+// guess-enumerating Auto front-end, whose Apply spreads its distinct
+// sketches across the worker pool — under -race this also checks the
+// pooled applyScratch/coalescer never crosses goroutines.
 func TestCoalescedAutoApplyMatchesUncoalesced(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
 	ops := dupHeavyOps(303, 55, 16)

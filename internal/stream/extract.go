@@ -43,11 +43,13 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"streambalance/internal/coreset"
 	"streambalance/internal/geo"
+	"streambalance/internal/hashing"
 	"streambalance/internal/obs"
 	"streambalance/internal/partition"
 	"streambalance/internal/sketch"
@@ -151,12 +153,7 @@ func (s *Stream) extract(planWorkers, hatWorkers int, arena *sketch.DecodeArena)
 	sp.AttrInt("workers", int64(max(planWorkers, hatWorkers)))
 	defer func() {
 		mExtractNS.ObserveSince(t0)
-		if obs.Enabled() {
-			// Space gauges: the Theorem 4.5-accounted sketch state and the
-			// derived-state decode cache, sampled once per extraction.
-			mSketchBytes.SetInt(s.Bytes())
-			mCacheBytes.SetInt(s.DecodeCacheBytes())
-		}
+		publishSpace(s.units, 0)
 		sp.End()
 	}()
 	// Stage 1: decode every cell sketch the partition stage may consult,
@@ -180,7 +177,7 @@ func (s *Stream) extract(planWorkers, hatWorkers int, arena *sketch.DecodeArena)
 	if hatWorkers > 1 {
 		units := make([]*sketch.Storing, 0, s.g.L+1)
 		for i := 0; i <= s.g.L; i++ {
-			if needLevel[i] && s.phi[i] != 0 {
+			if needLevel[i] && s.phi[i] != 0 && !slices.Contains(units, s.hatStore[i]) {
 				units = append(units, s.hatStore[i])
 			}
 		}
@@ -254,8 +251,8 @@ func (s *Stream) assemble(part *partition.Partition, pl *coreset.Plan, needLevel
 			return nil, fmt.Errorf("%w: ĥ-substream level %d", ErrSketchFail, i)
 		}
 		for _, pc := range res.Points {
-			id, ok := part.PartOf(pc.P)
-			if !ok || id.Level != i || !pl.Included[id] {
+			id, ok := part.PartAt(pc.P, i)
+			if !ok || !pl.Included[id] {
 				continue
 			}
 			cs.Points = append(cs.Points, geo.Weighted{
@@ -268,89 +265,120 @@ func (s *Stream) assemble(part *partition.Partition, pl *coreset.Plan, needLevel
 	return cs, nil
 }
 
-// DropDecodeCache discards every level's decode cache, forcing the next
-// extraction to re-decode from the slabs (the cold path). Benchmarks use
-// it to separate cold and warm extraction cost; it never changes any
-// result, N, Bytes or StateDigest.
-func (s *Stream) DropDecodeCache() {
-	for i := range s.hpStore {
-		if s.hStore[i] != nil {
-			s.hStore[i].DropCache()
-		}
-		s.hpStore[i].DropCache()
-		s.hatStore[i].DropCache()
-	}
-}
+// DropDecodeCache discards every sketch's decode cache, forcing the
+// next extraction to re-decode from the slabs (the cold path).
+// Benchmarks use it to separate cold and warm extraction cost; it never
+// changes any result, N, Bytes or StateDigest.
+func (s *Stream) DropDecodeCache() { s.units.dropCache() }
 
 // DecodeCacheBytes reports the memory currently held by decode caches
 // and differential-decode bases. This is derived state — excluded from
 // Bytes, the Theorem 4.5 space accounting — see DESIGN.md §6.
-func (s *Stream) DecodeCacheBytes() int64 {
-	var b int64
-	for i := range s.hpStore {
-		if s.hStore[i] != nil {
-			b += s.hStore[i].CacheBytes()
-		}
-		b += s.hpStore[i].CacheBytes()
-		b += s.hatStore[i].CacheBytes()
-	}
-	return b
-}
-
-// eachStoring calls f on every decode unit of the stream — the h/h′
-// cell sketches and ĥ point sketch of each level.
-func (s *Stream) eachStoring(f func(*sketch.Storing)) {
-	for i := range s.hpStore {
-		if s.hStore[i] != nil {
-			f(s.hStore[i])
-		}
-		f(s.hpStore[i])
-		f(s.hatStore[i])
-	}
-}
+func (s *Stream) DecodeCacheBytes() int64 { return s.units.cacheBytes() }
 
 // WarmDecodeCache decodes every unit whose cache is not fresh, across
 // the worker pool — the serving pre-warm: after it returns, a query
 // that consults any unit gets a cache hit, and the next dirty batch is
 // answered by differential decodes against the freshly set bases. It
 // never changes any result (decoding is read-only on sketch state).
-func (s *Stream) WarmDecodeCache() {
-	var units []*sketch.Storing
-	s.eachStoring(func(st *sketch.Storing) { units = append(units, st) })
-	warmStorings(units, extractWorkers())
-}
-
-// WarmDecodeCache pre-warms every guess instance (see
-// Stream.WarmDecodeCache).
-func (a *Auto) WarmDecodeCache() {
-	var units []*sketch.Storing
-	for _, s := range a.streams {
-		s.eachStoring(func(st *sketch.Storing) { units = append(units, st) })
-	}
-	warmStorings(units, extractWorkers())
-}
+func (s *Stream) WarmDecodeCache() { s.units.warm() }
 
 // CacheStats sums the per-level decode-cache counters (hits, splices,
 // merge keeps/skips, …) over every decode unit of the stream.
-func (s *Stream) CacheStats() sketch.CacheStats {
-	var total sketch.CacheStats
-	s.eachStoring(func(st *sketch.Storing) { total = addCacheStats(total, st.CacheStats()) })
-	return total
-}
+func (s *Stream) CacheStats() sketch.CacheStats { return s.units.cacheStats() }
 
-// DirtyLevels reports how many of the stream's decode units
-// (level × substream sketches) no longer have a fresh cached decode —
+// DirtyLevels reports how many of the stream's decode units (distinct
+// level × substream sketches) no longer have a fresh cached decode —
 // the units the next extraction has to touch — against the total unit
 // count. A small dirty/total ratio is exactly the regime where the
 // differential decode turns a query into a handful of residual peels.
-func (s *Stream) DirtyLevels() (dirty, total int) {
-	s.eachStoring(func(st *sketch.Storing) {
-		total++
-		if !st.CacheFresh() {
+func (s *Stream) DirtyLevels() (dirty, total int) { return s.units.dirty() }
+
+// The walks over distinct units behind every state accessor of Stream
+// and Auto: a shared sketch is written, decoded, counted and digested
+// once, however many slots it fills.
+
+// digest folds n and every unit's sketch state into one 64-bit value.
+func (us units) digest(n uint64) uint64 {
+	d := hashing.Mix64(n)
+	for _, u := range us {
+		d = hashing.Mix64(d ^ u.st.Digest())
+	}
+	return d
+}
+
+// bytesBySub sums the units' sketch state by substream.
+func (us units) bytesBySub() (by [3]int64) {
+	for _, u := range us {
+		by[u.sub] += u.st.Bytes()
+	}
+	return by
+}
+
+// bytes sums the units' sketch state.
+func (us units) bytes() int64 {
+	by := us.bytesBySub()
+	return by[subH] + by[subHp] + by[subHat]
+}
+
+// cacheBytes sums the units' decode-cache and base memory.
+func (us units) cacheBytes() int64 {
+	var b int64
+	for _, u := range us {
+		b += u.st.CacheBytes()
+	}
+	return b
+}
+
+// cacheStats sums the units' decode-cache counters.
+func (us units) cacheStats() sketch.CacheStats {
+	var total sketch.CacheStats
+	for _, u := range us {
+		total = addCacheStats(total, u.st.CacheStats())
+	}
+	return total
+}
+
+// dirty counts the units without a fresh cached decode, and all units.
+func (us units) dirty() (dirty, total int) {
+	for _, u := range us {
+		if !u.st.CacheFresh() {
 			dirty++
 		}
-	})
-	return dirty, total
+	}
+	return dirty, len(us)
+}
+
+// dropCache discards every unit's decode cache.
+func (us units) dropCache() {
+	for _, u := range us {
+		u.st.DropCache()
+	}
+}
+
+// warm decodes every stale unit across the worker pool.
+func (us units) warm() {
+	sts := make([]*sketch.Storing, len(us))
+	for k, u := range us {
+		sts[k] = u.st
+	}
+	warmStorings(sts, extractWorkers())
+}
+
+// publishSpace sets the space gauges when telemetry is on: the Theorem
+// 4.5-accounted sketch state of us plus cb bytes of guess selectors, in
+// total and by substream, and the derived-state decode cache.
+func publishSpace(us units, cb int64) {
+	if !obs.Enabled() {
+		return
+	}
+	by := us.bytesBySub()
+	mSketchBytes.SetInt(by[subH] + by[subHp] + by[subHat] + cb)
+	for k, name := range [...]string{"h", "hp", "hat"} {
+		vSketchBytes.SetInt(by[k], name)
+	}
+	vSketchBytes.SetInt(cb, "costbound")
+	mCacheBytes.SetInt(us.cacheBytes())
 }
 
 // addCacheStats is the field-wise sum of two CacheStats.
@@ -395,10 +423,7 @@ func (a *Auto) resultWith(workers int) (*coreset.Coreset, error) {
 	sp := obs.StartSpan("stream.select")
 	sp.AttrInt("guesses", int64(len(a.streams)))
 	defer func() {
-		if obs.Enabled() {
-			mSketchBytes.SetInt(a.Bytes())
-			mCacheBytes.SetInt(a.DecodeCacheBytes())
-		}
+		publishSpace(a.units, a.costBound.Bytes())
 		sp.End()
 	}()
 	est := -1
@@ -625,39 +650,23 @@ func (sc *guessScan) stop() {
 	sc.wg.Wait()
 }
 
-// DropDecodeCache discards the decode caches of every guess instance
-// (see Stream.DropDecodeCache).
-func (a *Auto) DropDecodeCache() {
-	for _, s := range a.streams {
-		s.DropDecodeCache()
-	}
-}
+// DropDecodeCache discards the decode cache of every distinct sketch of
+// the ensemble (see Stream.DropDecodeCache).
+func (a *Auto) DropDecodeCache() { a.units.dropCache() }
 
-// DecodeCacheBytes sums the decode-cache memory over all guess
-// instances. Deliberately not part of Bytes — caches are derived state.
-func (a *Auto) DecodeCacheBytes() int64 {
-	var b int64
-	for _, s := range a.streams {
-		b += s.DecodeCacheBytes()
-	}
-	return b
-}
+// DecodeCacheBytes sums the decode-cache memory over every distinct
+// sketch of the ensemble. Deliberately not part of Bytes — caches are
+// derived state.
+func (a *Auto) DecodeCacheBytes() int64 { return a.units.cacheBytes() }
 
-// CacheStats sums the decode-cache counters over all guess instances.
-func (a *Auto) CacheStats() sketch.CacheStats {
-	var total sketch.CacheStats
-	for _, s := range a.streams {
-		total = addCacheStats(total, s.CacheStats())
-	}
-	return total
-}
+// WarmDecodeCache pre-warms every distinct sketch of the ensemble (see
+// Stream.WarmDecodeCache).
+func (a *Auto) WarmDecodeCache() { a.units.warm() }
 
-// DirtyLevels sums Stream.DirtyLevels over all guess instances.
-func (a *Auto) DirtyLevels() (dirty, total int) {
-	for _, s := range a.streams {
-		d, n := s.DirtyLevels()
-		dirty += d
-		total += n
-	}
-	return dirty, total
-}
+// CacheStats sums the decode-cache counters over every distinct sketch
+// of the ensemble.
+func (a *Auto) CacheStats() sketch.CacheStats { return a.units.cacheStats() }
+
+// DirtyLevels reports the stale and total distinct units of the
+// ensemble (see Stream.DirtyLevels).
+func (a *Auto) DirtyLevels() (dirty, total int) { return a.units.dirty() }

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"streambalance/internal/coreset"
+	"streambalance/internal/geo"
 	"streambalance/internal/workload"
 )
 
@@ -336,4 +337,46 @@ func TestForkMergeInvalidatesDecodeCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	equalExtraction(t, got, want, "post-merge extraction vs single-pass cold")
+}
+
+// TestAssemblePartAtMatchesPartOf: the ĥ assembly's level-local part
+// lookup keeps exactly the points the root walk would — every guess
+// instance that extracts, in the churn and insert-only regimes, yields
+// the coreset of the PartOf filter over the same recovered points, in
+// the same order, with parallel decodes racing on the shared ĥ sketch.
+func TestAssemblePartAtMatchesPartOf(t *testing.T) {
+	for _, tc := range selectionCases()[:3] {
+		a := extractTestAuto(t, tc.seed)
+		a.Apply(tc.ops)
+		checked := 0
+		for _, s := range a.streams {
+			cs, err := s.Result()
+			if err != nil {
+				continue
+			}
+			checked++
+			var want []geo.Weighted
+			for i := 0; i <= s.g.L; i++ {
+				res, _ := s.hatStore[i].Result()
+				for _, pc := range res.Points {
+					id, ok := cs.Part.PartOf(pc.P)
+					if ok && id.Level == i && cs.Plan.Included[id] {
+						want = append(want, geo.Weighted{P: pc.P, W: float64(pc.Count) / s.phi[i]})
+					}
+				}
+			}
+			if len(want) != len(cs.Points) {
+				t.Fatalf("%s o=%g: %d points, PartOf filter keeps %d", tc.name, s.cfg.O, len(cs.Points), len(want))
+			}
+			for k := range want {
+				if !want[k].P.Equal(cs.Points[k].P) || want[k].W != cs.Points[k].W {
+					t.Fatalf("%s o=%g: point %d is %v/%v, PartOf filter %v/%v",
+						tc.name, s.cfg.O, k, cs.Points[k].P, cs.Points[k].W, want[k].P, want[k].W)
+				}
+			}
+		}
+		if checked == 0 {
+			t.Fatalf("%s: no guess instance extracted", tc.name)
+		}
+	}
 }

@@ -7,12 +7,14 @@ import (
 	"streambalance/internal/sketch"
 )
 
-// collectStorings returns the stream's decode units in eachStoring
-// order, so sibling streams can be compared unit-by-unit.
+// collectStorings returns the stream's distinct decode units in order,
+// so sibling streams can be compared unit-by-unit.
 func collectStorings(s *Stream) []*sketch.Storing {
-	var units []*sketch.Storing
-	s.eachStoring(func(st *sketch.Storing) { units = append(units, st) })
-	return units
+	var sts []*sketch.Storing
+	for _, u := range s.units {
+		sts = append(sts, u.st)
+	}
+	return sts
 }
 
 // TestMergeFineGrainedInvalidation: merging a fork that touched only k

@@ -2,7 +2,9 @@
 // Stream.Apply and Auto.Apply; Insert and Delete are one-op Applies).
 //
 // Every stream update fans out to 3 substreams × (L+1) grid levels — and,
-// under guess enumeration, × G guess instances. The per-op inputs those
+// under guess enumeration, × G guess instances, less the slots that share
+// one rate-1 sketch: the write units are the distinct sketches, so each
+// is written once per batch. The per-op inputs those
 // fan-out targets need are all derivable from two quantities: the op's
 // fingerprint key (sampling decisions and point identity) and its cell
 // index per level (cell keys and cell payloads). A batch precomputes both
@@ -20,8 +22,8 @@
 // batch stores one index vector per op rather than L+1.
 //
 // Because every sketch is linear over GF(p) and int64 counters — both
-// exact, commutative, associative — applying a batch level-by-level, or
-// sharding levels across goroutines, yields bit-identical sketch state to
+// exact, commutative, associative — applying a batch unit by unit, in
+// any order and across goroutines, yields bit-identical sketch state to
 // replaying the ops one at a time in stream order. TestApplyMatchesPerOp
 // enforces this.
 package stream
@@ -41,8 +43,8 @@ import (
 // sampled ops went into the key-coalescer and how many distinct-key rows
 // came out. The ratio in/out is the slab-write fan-in the coalescer
 // eliminated; it is largest at coarse grid levels, where a whole batch
-// maps to a handful of cells. Tallies are accumulated locally per
-// applyLevels call and added once per substream — nothing per op.
+// maps to a handful of cells. Tallies are accumulated per worker and
+// added once per substream per batch — nothing per op.
 var (
 	vCoalesceIn  = obs.CV("stream_coalesce_ops_in_total", "substream")
 	vCoalesceOut = obs.CV("stream_coalesce_keys_out_total", "substream")
@@ -136,73 +138,54 @@ func growPts(s []geo.Point, n int) []geo.Point {
 	return s[:n]
 }
 
-// applyScratch is the per-call working set of applyLevels: the
-// selection masks and the key-coalescer. applyLevels runs concurrently
-// on disjoint level ranges of the same Stream, so scratch cannot live on
-// s; a sync.Pool keeps the allocations off the per-batch path instead.
+// applyScratch is one worker's working set in applyShards: the
+// selection mask, the key-coalescer and the sketch-write tallies, which
+// are added to the telemetry counters once per drain. A sync.Pool keeps
+// the allocations off the per-batch path.
 type applyScratch struct {
-	sel []bool
-	co  coalescer
+	sel     []bool
+	co      coalescer
+	in, out [3]int64 // coalesce tallies per substream (h, hp, hat)
 }
 
 var applyScratchPool = sync.Pool{New: func() any { return new(applyScratch) }}
 
-// applyLevels applies the batch to sketch levels lo..hi of s. Distinct
-// level ranges of the same Stream touch disjoint sketch state (each level
-// owns its sketches), so they may run concurrently; the net counter s.n is
-// the caller's responsibility. Level-major order keeps one level's sketch
-// slabs hot in cache across the whole batch.
-//
-// Per level the three samplers run over the whole fingerprint-key column
-// through the 4-lane Bernoulli kernel (SampleN); each substream's
-// selected ops are then COALESCED by key — deltas summed, payloads
-// summed delta-scaled, one output row per distinct key — and fed to
-// Storing.UpdateKeyedScaledN. At coarse levels a whole batch collapses
-// to a handful of cell rows, so the sketch pays one slab visit and one
-// row-hash evaluation per distinct cell instead of per op. Sketch state
-// is an exact linear sum, so both the coalescing and the bucket-ordered
-// write schedule behind UpdateScaledN are bit-identical to writing each
-// op through Storing.Insert/Delete (the oracle of oracle_test.go:
-// TestApplyMatchesPerOp, FuzzCoalescedIngestMatchesSerial).
-func (s *Stream) applyLevels(b *batch, lo, hi int) {
-	g := s.g
-	L, dim := g.L, g.Dim
-	n := len(b.ops)
-	sc := applyScratchPool.Get().(*applyScratch)
-	defer applyScratchPool.Put(sc)
-	sel := growBool(sc.sel, 3*n)
-	sc.sel = sel
-	selH, selHp, selHat := sel[0:n], sel[n:2*n], sel[2*n:3*n]
+// apply writes the batch into unit u. The unit's sampler runs over the
+// whole fingerprint-key column through the 4-lane Bernoulli kernel
+// (SampleN); the selected ops are then COALESCED by key — deltas summed,
+// payloads summed delta-scaled, one output row per distinct key — and
+// fed to Storing.UpdateKeyedScaledN. At coarse levels a whole batch
+// collapses to a handful of cell rows, so the sketch pays one slab visit
+// and one row-hash evaluation per distinct cell instead of per op.
+// Sketch state is an exact linear sum, so both the coalescing and the
+// bucket-ordered write schedule behind UpdateScaledN are bit-identical to
+// writing each op through Storing.Insert/Delete (the oracle of
+// oracle_test.go: TestApplyMatchesPerOp, FuzzCoalescedIngestMatchesSerial).
+func (sc *applyScratch) apply(b *batch, g *grid.Grid, u unit) {
+	sc.sel = growBool(sc.sel, len(b.ops))
+	u.samp.SampleN(sc.sel, b.fkey)
 	co := &sc.co
-	var nSel int64           // sampled sketch updates; one atomic add per call
-	var coIn, coOut [3]int64 // coalesce tallies per substream (h, hp, hat)
-	tally := func(k int, in int64) {
-		nSel += in
-		coIn[k] += in
-		coOut[k] += int64(len(co.deltas))
+	if u.sub == subHat {
+		sc.in[u.sub] += co.coalescePoints(b, sc.sel, g.Dim)
+		u.st.UpdateKeyedScaledN(nil, nil, co.keys, co.scaled, co.deltas)
+	} else {
+		sc.in[u.sub] += co.coalesceCells(b, sc.sel, u.level, g.L, g.Dim, uint(g.L-u.level))
+		u.st.UpdateKeyedScaledN(co.keys, co.scaled, nil, nil, co.deltas)
 	}
-	for i := lo; i <= hi; i++ {
-		sh := uint(L - i)
-		if i <= L-1 {
-			s.hSamp[i].SampleN(selH, b.fkey)
-			tally(0, co.coalesceCells(b, selH, i, L, dim, sh))
-			s.hStore[i].UpdateKeyedScaledN(co.keys, co.scaled, nil, nil, co.deltas)
-		}
-		s.hpSamp[i].SampleN(selHp, b.fkey)
-		tally(1, co.coalesceCells(b, selHp, i, L, dim, sh))
-		s.hpStore[i].UpdateKeyedScaledN(co.keys, co.scaled, nil, nil, co.deltas)
+	sc.out[u.sub] += int64(len(co.deltas))
+}
 
-		s.hatSamp[i].SampleN(selHat, b.fkey)
-		tally(2, co.coalescePoints(b, selHat, dim))
-		s.hatStore[i].UpdateKeyedScaledN(nil, nil, co.keys, co.scaled, co.deltas)
-	}
-	mSketchUpdates.Add(nSel)
+// flush adds the tallies to the sampled-update and coalesce counters —
+// one atomic add each per drain, nothing per op — and clears them.
+func (sc *applyScratch) flush() {
+	mSketchUpdates.Add(sc.in[subH] + sc.in[subHp] + sc.in[subHat])
 	if obs.Enabled() {
-		for k := 0; k < 3; k++ {
-			mCoalesceIn[k].Add(coIn[k])
-			mCoalesceOut[k].Add(coOut[k])
+		for k := range sc.in {
+			mCoalesceIn[k].Add(sc.in[k])
+			mCoalesceOut[k].Add(sc.out[k])
 		}
 	}
+	sc.in, sc.out = [3]int64{}, [3]int64{}
 }
 
 func growBool(s []bool, n int) []bool {
@@ -334,57 +317,29 @@ func (c *coalescer) coalescePoints(b *batch, sel []bool, dim int) int64 {
 	return in
 }
 
-// shard is one unit of parallel batch application: a level range of one
-// guess instance.
-type shard struct {
-	s      *Stream
-	lo, hi int
-}
-
-// applyShards applies the batch to every (stream × level-range) shard with
-// a worker pool sized to the machine. Shards partition the sketch state —
-// no two shards write the same sketch — so no synchronization beyond the
-// final barrier is needed, and linearity makes the outcome independent of
-// the schedule.
-func applyShards(b *batch, shards []shard) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(shards) {
-		workers = len(shards)
-	}
-	if workers <= 1 {
-		for _, sh := range shards {
-			sh.s.applyLevels(b, sh.lo, sh.hi)
-		}
-		return
-	}
+// applyShards writes the batch into every unit with a worker pool
+// sized to the machine, the caller draining alongside. Units are
+// distinct sketches — no two write the same state — so no
+// synchronization beyond the final barrier is needed, and linearity
+// makes the outcome independent of the schedule.
+func applyShards(b *batch, g *grid.Grid, us units) {
 	var next atomic.Int64
+	drain := func() {
+		sc := applyScratchPool.Get().(*applyScratch)
+		for i := int(next.Add(1)) - 1; i < len(us); i = int(next.Add(1)) - 1 {
+			sc.apply(b, g, us[i])
+		}
+		sc.flush()
+		applyScratchPool.Put(sc)
+	}
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 1; w < min(runtime.GOMAXPROCS(0), len(us)); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(shards) {
-					return
-				}
-				sh := shards[i]
-				sh.s.applyLevels(b, sh.lo, sh.hi)
-			}
+			drain()
 		}()
 	}
+	drain()
 	wg.Wait()
-}
-
-// levelShards appends the shards for one stream, splitting its L+1 levels
-// into chunks of at most chunk levels.
-func levelShards(dst []shard, s *Stream, chunk int) []shard {
-	for lo := 0; lo <= s.g.L; lo += chunk {
-		hi := lo + chunk - 1
-		if hi > s.g.L {
-			hi = s.g.L
-		}
-		dst = append(dst, shard{s: s, lo: lo, hi: hi})
-	}
-	return dst
 }

@@ -51,7 +51,7 @@ func BenchmarkIngestAutoPerOp(b *testing.B) {
 
 // BenchmarkIngestAutoApply is the batched shared-key pipeline over the
 // same guess ensemble: key columns computed once per batch, sketch work
-// sharded over (guess × level-range) units across the worker pool.
+// spread over the distinct sketches across the worker pool.
 func BenchmarkIngestAutoApply(b *testing.B) {
 	ops := benchIngestOps(4096)
 	a := benchAuto(b)

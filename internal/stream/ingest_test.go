@@ -93,10 +93,11 @@ func TestApplyMatchesPerOp(t *testing.T) {
 }
 
 // TestAutoApplyMatchesPerOp: same bit-identical contract for the guess
-// enumeration, whose Apply shards (guess × level-range) units across a
+// enumeration, whose Apply spreads its distinct sketches across a
 // worker pool. GOMAXPROCS is raised so the pool genuinely runs concurrent
 // workers even on a single-core machine — under -race this validates that
-// shards never touch overlapping sketch state.
+// no two units touch overlapping sketch state, shared rate-1 sketches
+// included.
 func TestAutoApplyMatchesPerOp(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
 	ops := shuffledChurnOps(202, 900)

@@ -35,8 +35,8 @@ import (
 // are one-op batches) — never once per guess instance — so
 // stream_ops_total counts what the caller fed in, and
 // stream_sketch_updates_total counts the post-sampling fan-out the
-// sketches absorbed (accumulated locally in applyLevels, one atomic
-// add per applyLevels call).
+// sketches absorbed, once per distinct sketch (accumulated per worker
+// in applyShards, one atomic add per worker per batch).
 var (
 	mOps           = obs.C("stream_ops_total")
 	mDeletes       = obs.C("stream_deletes_total")
@@ -49,6 +49,13 @@ var (
 	mExtractDecodes = obs.C("stream_extract_decodes_total")
 	mSketchBytes    = obs.G("stream_sketch_bytes")
 	mCacheBytes     = obs.G("stream_decode_cache_bytes")
+
+	// Space by substream (h, hp, hat, and the guess selectors' costbound),
+	// over distinct sketches: the labels sum to the scalar gauge. The
+	// shared-sketch gauge counts the sketch slots that reuse an instance
+	// another slot already holds.
+	vSketchBytes    = obs.GV("stream_sketch_bytes", "substream")
+	mSharedSketches = obs.G("stream_shared_sketches")
 
 	mGuessAttempts = obs.C("stream_guess_attempts_total")
 	mGuessFails    = obs.C("stream_guess_fail_total")
@@ -151,6 +158,11 @@ type Stream struct {
 	hpStore  []*sketch.Storing // cell counts for part masses, levels 0..L
 	hatStore []*sketch.Storing // point recovery, levels 0..L
 
+	// units lists each distinct sketch above once, with its sampler: in
+	// an Auto ensemble the rate-1 ĥ sketch fills several levels' slots
+	// (see rate1).
+	units units
+
 	psi, psiP, phi []float64
 
 	b *batch // reusable columnar buffer for Apply (not goroutine-safe)
@@ -169,7 +181,64 @@ func New(cfg Config) (*Stream, error) {
 	}
 	rng := rand.New(rand.NewSource(cfg.Params.Seed))
 	g := grid.New(cfg.Delta, cfg.Dim, rng)
-	return newShared(cfg, g, hashing.NewFingerprint(rng), rng), nil
+	// A standalone Stream keeps a sketch per slot: its guess o is the
+	// caller's, usually derived from the data, and sharing its rate-1 ĥ
+	// levels would make its space vary with o — E3 pins a single guess's
+	// space flat across stream lengths. Auto's guess grid is fixed, so
+	// its sharing is a constant of the configuration.
+	return newShared(cfg, g, hashing.NewFingerprint(rng), rng, nil), nil
+}
+
+// Substreams of a write unit, in the order of the per-substream tallies.
+const (
+	subH   = iota // h: cell counts for heavy marking
+	subHp         // h′: cell counts for part masses
+	subHat        // ĥ: point recovery
+)
+
+// unit is one distinct sketch with the sampler that feeds it and the
+// grid level its cell keys come from. It is the unit of ingest work and
+// of every walk over sketch state: a shared rate-1 sketch fills many
+// (guess, level, substream) slots but is one unit, so walking units
+// writes, decodes, counts and digests each sketch exactly once.
+type unit struct {
+	st    *sketch.Storing
+	samp  *hashing.Bernoulli
+	level int
+	sub   int
+}
+
+// units is a list of distinct units.
+type units []unit
+
+// distinct returns us without repeated sketches, first occurrence kept.
+func (us units) distinct() units {
+	seen := make(map[*sketch.Storing]bool, len(us))
+	var out units
+	for _, u := range us {
+		if !seen[u.st] {
+			seen[u.st] = true
+			out = append(out, u)
+		}
+	}
+	return out
+}
+
+// rate1 hands out the rate-1 sketches of an ensemble. A sampler at rate
+// 1 keeps every op, so a rate-1 sketch's content depends only on its
+// substream and level, and a ĥ sketch's (α = 0: keyed by the point
+// fingerprint, payload the point) not even on the level. Every slot that
+// needs one gets the same instance: one per level for h and for h′, one
+// in total for ĥ, all drawn from rng (DESIGN.md §1 on why sharing only
+// correlates failures across guesses).
+type rate1 struct {
+	rng   *rand.Rand
+	cells [2][]*sketch.Storing // h and h′ by level
+	hat   *sketch.Storing
+}
+
+func newRate1(rng *rand.Rand, L int) *rate1 {
+	return &rate1{rng: rng, cells: [2][]*sketch.Storing{make([]*sketch.Storing, L+1), make([]*sketch.Storing, L+1)}}
 }
 
 // newShared builds a Stream over an externally supplied grid and
@@ -177,8 +246,9 @@ func New(cfg Config) (*Stream, error) {
 // shift and one per-op key function, so the ingestion pipeline can compute
 // each op's fingerprint key and cell keys once and reuse them across all
 // instances. cfg must already be defaulted and have O > 0; rng seeds the
-// instance-private samplers and sketch hash functions.
-func newShared(cfg Config, g *grid.Grid, fp *hashing.Fingerprint, rng *rand.Rand) *Stream {
+// instance-private samplers and sketches, except that a non-nil r1
+// supplies the rate-1 sketches every stream built over it shares.
+func newShared(cfg Config, g *grid.Grid, fp *hashing.Fingerprint, rng *rand.Rand, r1 *rate1) *Stream {
 	L := g.L
 	s := &Stream{
 		cfg: cfg, g: g,
@@ -196,6 +266,19 @@ func newShared(cfg Config, g *grid.Grid, fp *hashing.Fingerprint, rng *rand.Rand
 	p := cfg.Params
 	gamma := p.Gamma(g.Dim, L)
 	lambda := p.Lambda(g.Dim, L)
+	store := func(samp *hashing.Bernoulli, sub, i, alpha, beta int) *sketch.Storing {
+		if r1 == nil || samp.Phi() < 1 {
+			return sketch.NewStoringShared(rng, g, i, alpha, beta, cfg.FailProb, fp)
+		}
+		shared := &r1.hat
+		if sub != subHat {
+			shared = &r1.cells[sub][i]
+		}
+		if *shared == nil {
+			*shared = sketch.NewStoringShared(r1.rng, g, i, alpha, beta, cfg.FailProb, fp)
+		}
+		return *shared
+	}
 	for i := 0; i <= L; i++ {
 		T := partition.ThresholdT(g, i, cfg.O, p.R)
 		s.psi[i] = math.Min(1, cfg.CountRate/T)
@@ -205,12 +288,27 @@ func newShared(cfg Config, g *grid.Grid, fp *hashing.Fingerprint, rng *rand.Rand
 		s.hpSamp[i] = hashing.NewBernoulli(rng, lambda, s.psiP[i])
 		s.hatSamp[i] = hashing.NewBernoulli(rng, lambda, s.phi[i])
 		if i <= L-1 {
-			s.hStore[i] = sketch.NewStoringShared(rng, g, i, cfg.CellSparsity, 0, cfg.FailProb, fp)
+			s.hStore[i] = store(s.hSamp[i], subH, i, cfg.CellSparsity, 0)
 		}
-		s.hpStore[i] = sketch.NewStoringShared(rng, g, i, cfg.CellSparsity, 0, cfg.FailProb, fp)
-		s.hatStore[i] = sketch.NewStoringShared(rng, g, i, 0, cfg.PointSparsity, cfg.FailProb, fp)
+		s.hpStore[i] = store(s.hpSamp[i], subHp, i, cfg.CellSparsity, 0)
+		s.hatStore[i] = store(s.hatSamp[i], subHat, i, 0, cfg.PointSparsity)
 	}
+	s.units = s.slots().distinct()
 	return s
+}
+
+// slots lists every (level, substream) sketch slot of s as a unit, in
+// level order; shared sketches appear once per slot they fill.
+func (s *Stream) slots() units {
+	var us units
+	for i := 0; i <= s.g.L; i++ {
+		if i <= s.g.L-1 {
+			us = append(us, unit{s.hStore[i], s.hSamp[i], i, subH})
+		}
+		us = append(us, unit{s.hpStore[i], s.hpSamp[i], i, subHp})
+		us = append(us, unit{s.hatStore[i], s.hatSamp[i], i, subHat})
+	}
+	return us
 }
 
 // Insert processes (p, +) as a one-op Apply.
@@ -233,7 +331,7 @@ func (s *Stream) Apply(ops []Op) {
 	}
 	s.b.build(s.g, s.fp, ops)
 	countBatch(ops)
-	s.applyLevels(s.b, 0, s.g.L)
+	applyShards(s.b, s.g, s.units)
 	s.n += netCount(ops)
 }
 
@@ -275,7 +373,8 @@ func (s *Stream) N() int64 { return s.n }
 // functions. A fork can process a disjoint shard of the stream (e.g. on
 // another goroutine or machine) and be merged back with Merge — the
 // linearity of every sketch makes the merged state identical to one pass
-// over the interleaved stream.
+// over the interleaved stream. Each distinct sketch is cloned once, so
+// slots sharing a sketch in s share its clone in the fork.
 func (s *Stream) Fork() *Stream {
 	cp := &Stream{
 		cfg: s.cfg, g: s.g, fp: s.fp,
@@ -283,28 +382,29 @@ func (s *Stream) Fork() *Stream {
 		hStore:   make([]*sketch.Storing, len(s.hStore)),
 		hpStore:  make([]*sketch.Storing, len(s.hpStore)),
 		hatStore: make([]*sketch.Storing, len(s.hatStore)),
+		units:    make(units, len(s.units)),
 		psi:      s.psi, psiP: s.psiP, phi: s.phi,
 	}
+	clone := make(map[*sketch.Storing]*sketch.Storing, len(s.units))
+	for k, u := range s.units {
+		cp.units[k] = u
+		cp.units[k].st = u.st.CloneEmpty()
+		clone[u.st] = cp.units[k].st
+	}
 	for i := range s.hStore {
-		if s.hStore[i] != nil {
-			cp.hStore[i] = s.hStore[i].CloneEmpty()
-		}
-		cp.hpStore[i] = s.hpStore[i].CloneEmpty()
-		cp.hatStore[i] = s.hatStore[i].CloneEmpty()
+		cp.hStore[i] = clone[s.hStore[i]] // nil at level L stays nil
+		cp.hpStore[i] = clone[s.hpStore[i]]
+		cp.hatStore[i] = clone[s.hatStore[i]]
 	}
 	return cp
 }
 
-// Merge folds a fork's state back into s. The fork must have been
-// created by s.Fork() (or share its hash functions transitively);
-// mismatched shapes panic.
+// Merge folds a fork's state back into s, each distinct sketch once. The
+// fork must have been created by s.Fork() (or share its hash functions
+// transitively); mismatched shapes panic.
 func (s *Stream) Merge(fork *Stream) {
-	for i := range s.hStore {
-		if s.hStore[i] != nil {
-			s.hStore[i].Merge(fork.hStore[i])
-		}
-		s.hpStore[i].Merge(fork.hpStore[i])
-		s.hatStore[i].Merge(fork.hatStore[i])
+	for k, u := range s.units {
+		u.st.Merge(fork.units[k].st)
 	}
 	s.n += fork.n
 }
@@ -313,32 +413,12 @@ func (s *Stream) Merge(fork *Stream) {
 // with identical configuration and seed have equal digests iff their
 // sketch states are bit-identical — the equivalence check for the batched
 // ingestion pipeline against per-op replay.
-func (s *Stream) StateDigest() uint64 {
-	d := hashing.Mix64(uint64(s.n))
-	for i := 0; i <= s.g.L; i++ {
-		if i <= s.g.L-1 {
-			d = hashing.Mix64(d ^ s.hStore[i].Digest())
-		}
-		d = hashing.Mix64(d ^ s.hpStore[i].Digest())
-		d = hashing.Mix64(d ^ s.hatStore[i].Digest())
-	}
-	return d
-}
+func (s *Stream) StateDigest() uint64 { return s.units.digest(uint64(s.n)) }
 
 // Bytes returns the total sketch state in bytes — the streaming space
 // Theorem 4.5 bounds by poly(ε⁻¹η⁻¹kd log Δ), independent of the stream
-// length.
-func (s *Stream) Bytes() int64 {
-	var b int64
-	for i := 0; i <= s.g.L; i++ {
-		if i <= s.g.L-1 {
-			b += s.hStore[i].Bytes()
-		}
-		b += s.hpStore[i].Bytes()
-		b += s.hatStore[i].Bytes()
-	}
-	return b
-}
+// length. A shared sketch counts once.
+func (s *Stream) Bytes() int64 { return s.units.bytes() }
 
 // ErrSketchFail is returned when a Storing subroutine FAILs (too many
 // non-empty cells or sampled points for the configured sketch budgets) —
